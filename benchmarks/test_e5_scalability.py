@@ -2,7 +2,7 @@
 
 TA is excluded, as in the paper ("its runtimes were already one to
 four orders of magnitude higher"). One cell per workload at 2.5x the
-E1-E4 benchmark size; the full sweep lives in jobs/run_e5_scalability.py.
+E1-E4 benchmark size; the full sweep is ``python -m repro.bench e5``.
 """
 import pytest
 

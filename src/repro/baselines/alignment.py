@@ -25,20 +25,22 @@ Cost structure faithfully reproduced from the paper: every Φ/N node is
 itself "based on a conventional left-outer join" at winit scale, so TA
 executes the expensive θ∧overlap join two to four times plus extra
 fragment joins and a dedup union, whereas NJ executes it exactly once.
-Each operator's splitting step reuses the same streaming per-group
-machinery as the NJ sweeps, so the comparison isolates the *plan
-shape*, not implementation quality.
+Each operator's splitting step runs through the same per-group pass
+as the NJ sweeps (:func:`repro.core.stream.map_groups`), and the right
+and full outer joins are composed from TA's anti and left joins by the
+same :func:`repro.core.negation_joins.compose` as NJ's, so the
+comparison isolates the *plan shape*, not implementation quality.
 """
 from __future__ import annotations
 
 from typing import Iterator
 
-import pandas as pd
 from pyspark.sql import DataFrame, functions as F
 from pyspark.sql.types import LongType, StructField, StructType
 
 from ..core.lawa_u import KIND_NEGATING, KIND_OVERLAPPING, KIND_UNMATCHED
-from ..core.stream import chunked, iter_groups
+from ..core.negation_joins import compose
+from ..core.stream import map_groups
 from ..core.theta import Theta
 from ..core.windows import NO_OVERLAP, winit
 from ..tp.model import fact_columns
@@ -74,58 +76,48 @@ def _fragment_pass(
     ref tuples.
     """
     facts = fact_columns(target)
-    x = winit(target, ref, theta)
-    schema = _fragment_schema(target)
-    cols = [f.name for f in schema.fields]
 
-    def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        rows: list[dict] = []
-        for _, group in iter_groups(batches, "r_lid"):
-            head = group[0]
-            r_ts, r_te = head["r_ts"], head["r_te"]
-            if len(group) == 1 and group[0]["o_ts"] == NO_OVERLAP:
-                frags = [(r_ts, r_te)]
-            elif mode == "align":
-                group.sort(key=lambda m: (m["o_ts"], m["o_te"]))
-                frags_set = set()
-                order: list[tuple[int, int]] = []
-                cursor = r_ts
-                for m in group:
-                    if cursor < m["o_ts"]:
-                        frag = (cursor, m["o_ts"])
-                        if frag not in frags_set:
-                            frags_set.add(frag)
-                            order.append(frag)
-                        cursor = m["o_ts"]
-                    frag = (m["o_ts"], m["o_te"])
+    def split(group: list[dict]) -> Iterator[dict]:
+        head = group[0]
+        r_ts, r_te = head["r_ts"], head["r_te"]
+        if len(group) == 1 and head["o_ts"] == NO_OVERLAP:
+            frags = [(r_ts, r_te)]
+        elif mode == "align":
+            group.sort(key=lambda m: (m["o_ts"], m["o_te"]))
+            frags_set = set()
+            order: list[tuple[int, int]] = []
+            cursor = r_ts
+            for m in group:
+                if cursor < m["o_ts"]:
+                    frag = (cursor, m["o_ts"])
                     if frag not in frags_set:
                         frags_set.add(frag)
                         order.append(frag)
-                    cursor = max(cursor, m["o_te"])
-                if cursor < r_te:
-                    order.append((cursor, r_te))
-                frags = order
-            else:  # normalize: elementary fragments of the boundary set
-                points = {r_ts, r_te}
-                for m in group:
-                    points.add(m["o_ts"])
-                    points.add(m["o_te"])
-                sorted_points = sorted(points)
-                frags = list(zip(sorted_points, sorted_points[1:]))
-            base = {c: head[f"r_{c}"] for c in facts}
-            base["lid"] = head["r_lid"]
-            base["p"] = head["r_p"]
-            base["orig_ts"] = r_ts
-            base["orig_te"] = r_te
-            for f_ts, f_te in frags:
-                rows.append({**base, "f_ts": f_ts, "f_te": f_te})
-            if len(rows) >= 8192:
-                yield from chunked(rows, cols)
-                rows = []
-        yield from chunked(rows, cols)
+                    cursor = m["o_ts"]
+                frag = (m["o_ts"], m["o_te"])
+                if frag not in frags_set:
+                    frags_set.add(frag)
+                    order.append(frag)
+                cursor = max(cursor, m["o_te"])
+            if cursor < r_te:
+                order.append((cursor, r_te))
+            frags = order
+        else:  # normalize: elementary fragments of the boundary set
+            points = {r_ts, r_te}
+            for m in group:
+                points.add(m["o_ts"])
+                points.add(m["o_te"])
+            sorted_points = sorted(points)
+            frags = list(zip(sorted_points, sorted_points[1:]))
+        base = {c: head[f"r_{c}"] for c in facts}
+        base["lid"] = head["r_lid"]
+        base["p"] = head["r_p"]
+        base["orig_ts"] = r_ts
+        base["orig_te"] = r_te
+        for f_ts, f_te in frags:
+            yield {**base, "f_ts": f_ts, "f_te": f_te}
 
-    grouped = x.repartition("r_lid").sortWithinPartitions("r_lid", "o_ts", "o_te")
-    return grouped.mapInPandas(run, schema)
+    return map_groups(winit(target, ref, theta), split, _fragment_schema(target))
 
 
 def align(r: DataFrame, s: DataFrame, theta: Theta) -> DataFrame:
@@ -354,33 +346,10 @@ def finalize_windows(windows: DataFrame, r: DataFrame, s: DataFrame, op: str) ->
 
 def ta_negation_join(r: DataFrame, s: DataFrame, theta: Theta, op: str) -> DataFrame:
     """The TP join with negation, computed by the TA baseline."""
-    if op == "anti":
-        return finalize_windows(ta_nu(r, s, theta), r, s, "anti")
-    if op == "left":
-        return finalize_windows(ta_windows(r, s, theta), r, s, "left")
-    if op == "right":
-        from ..core.negation_joins import _swap_sides
+    return compose(_ta_join, r, s, theta, op)
 
-        return _swap_sides(
-            ta_negation_join(s, r, theta.swapped(), "left"),
-            fact_columns(s),
-            fact_columns(r),
-        )
-    if op == "full":
-        left = ta_negation_join(r, s, theta, "left")
-        right_only = ta_negation_join(s, r, theta.swapped(), "anti")
-        r_facts, s_facts = fact_columns(r), fact_columns(s)
-        left_types = {f.name: f.dataType for f in left.schema.fields}
-        promoted = right_only.select(
-            *[
-                F.lit(None).cast(left_types[f"r_{c}"]).alias(f"r_{c}")
-                for c in r_facts
-            ],
-            *[F.col(c).alias(f"s_{c}") for c in s_facts],
-            "lineage",
-            "ts",
-            "te",
-            "p",
-        )
-        return left.unionByName(promoted)
-    raise ValueError(f"unknown op {op!r}")
+
+def _ta_join(r: DataFrame, s: DataFrame, theta: Theta, op: str) -> DataFrame:
+    """TA's anti join (Fig. 10c tree) or left join (both trees)."""
+    windows = ta_nu(r, s, theta) if op == "anti" else ta_windows(r, s, theta)
+    return finalize_windows(windows, r, s, op)

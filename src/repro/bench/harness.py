@@ -2,8 +2,8 @@
 
 Wall-clock timing of DataFrame pipelines (forced with a cheap
 ``count``-style action), parameter sweeps over input sizes, and
-aligned table printing so the jobs in ``jobs/`` emit the same rows the
-paper's figures plot. Inputs are cached (``.cache()`` + materialize)
+aligned table printing so ``python -m repro.bench <table>`` emits the
+same rows the paper's figures plot. Inputs are cached (``.cache()`` + materialize)
 before timing so a measurement covers the operator under test, not the
 synthetic generator.
 """

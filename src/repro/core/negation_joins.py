@@ -5,10 +5,10 @@ approach (paper Fig. 10a) is:
 
 1. ``winit = r ⟕_{θ ∧ overlap} s`` — ONE Catalyst join
    (:func:`repro.core.windows.winit`);
-2. repartition by the r-tuple group key (``r_lid``) and sort each
-   partition by ``(r_lid, o_ts)`` — the distributed equivalent of
-   Algorithm 3 line 2;
-3. one ``mapInPandas`` pass that streams each group through LAWA_U and
+2. :func:`repro.core.stream.map_groups`: repartition by the r-tuple
+   group key (``r_lid``), sort each partition by ``(r_lid, o_ts)`` —
+   the distributed equivalent of Algorithm 3 line 2 — and make one
+   ``mapInPandas`` pass that streams each group through LAWA_U and
    (when requested) LAWA_N, pipelined: a window emitted by LAWA_U
    flows into LAWA_N and out as a finalized output tuple without ever
    materializing the intermediate sets.
@@ -18,7 +18,8 @@ Entry points mirror the stages the paper benchmarks separately:
 - :func:`wuo` — unmatched + overlapping windows (paper Fig. 11);
 - :func:`all_windows` — adds negating windows (paper Fig. 12);
 - :func:`negation_join` — the TP join result for ``op`` in
-  ``{"anti", "left", "right", "full"}`` (paper Fig. 13).
+  ``{"anti", "left", "right", "full"}`` (paper Fig. 13), with right and
+  full composed from anti and left by :func:`compose`.
 
 Output schemas:
 
@@ -35,9 +36,8 @@ Output schemas:
 """
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Callable, Iterator
 
-import pandas as pd
 from pyspark.sql import DataFrame, functions as F
 from pyspark.sql.types import (
     ArrayType,
@@ -52,7 +52,7 @@ from ..lineage.formula import conjunction_lineage, negation_lineage
 from ..lineage.probability import negation_probability
 from ..tp.model import fact_columns
 from . import lawa_n, lawa_u
-from .stream import chunked, iter_groups
+from .stream import map_groups
 from .theta import Theta
 from .windows import winit
 
@@ -109,53 +109,25 @@ def _join_schema(
 
 
 # ---------------------------------------------------------------------------
-# the mapInPandas sweep
+# the per-group sweep
 # ---------------------------------------------------------------------------
 
-def _sweep_partition(
-    batches: Iterator[pd.DataFrame],
-    r_fact_cols: list[str],
-    s_fact_cols: list[str],
-    out_columns: list[str],
-    with_negating: bool,
-    finalize_op: str | None,
-) -> Iterator[pd.DataFrame]:
-    """Run LAWA_U (and LAWA_N) over every r-tuple group of a partition.
-
-    When ``finalize_op`` is None, emits window rows; otherwise emits
-    finalized TP join output tuples for ``op`` in {"anti", "left"}
-    (right/full are composed from these by the driver-side wrappers).
-    """
-    rows: list[dict] = []
-    for _, group in iter_groups(batches, "r_lid"):
-        head = group[0]
-        r_ts, r_te = head["r_ts"], head["r_te"]
-        group.sort(key=lambda m: (m["o_ts"], m["o_te"], m["s_lid"] or ""))
-        stream = lawa_u.sweep_group(r_ts, r_te, group)
-        if with_negating:
-            stream = lawa_n.sweep_group(stream)
-        for w in stream:
-            if finalize_op is None:
-                rec = {f"r_{c}": head[f"r_{c}"] for c in r_fact_cols}
-                rec["r_lid"] = head["r_lid"]
-                rec["r_p"] = head["r_p"]
-                rec["w_ts"] = w["w_ts"]
-                rec["w_te"] = w["w_te"]
-                s_row = w["s_row"]
-                for c in s_fact_cols:
-                    rec[f"s_{c}"] = s_row[f"s_{c}"] if s_row else None
-                rec["s_lids"] = w["s_lids"]
-                rec["s_ps"] = w["s_ps"]
-                rec["kind"] = w["kind"]
-                rows.append(rec)
-            else:
-                rec = _finalize(w, head, r_fact_cols, s_fact_cols, finalize_op)
-                if rec is not None:
-                    rows.append(rec)
-        if len(rows) >= 8192:
-            yield from chunked(rows, out_columns)
-            rows = []
-    yield from chunked(rows, out_columns)
+def _window_record(
+    w: dict, head: dict, r_fact_cols: list[str], s_fact_cols: list[str]
+) -> dict:
+    """One window as a row of the window schema."""
+    rec = {f"r_{c}": head[f"r_{c}"] for c in r_fact_cols}
+    rec["r_lid"] = head["r_lid"]
+    rec["r_p"] = head["r_p"]
+    rec["w_ts"] = w["w_ts"]
+    rec["w_te"] = w["w_te"]
+    s_row = w["s_row"]
+    for c in s_fact_cols:
+        rec[f"s_{c}"] = s_row[f"s_{c}"] if s_row else None
+    rec["s_lids"] = w["s_lids"]
+    rec["s_ps"] = w["s_ps"]
+    rec["kind"] = w["kind"]
+    return rec
 
 
 def _finalize(
@@ -192,13 +164,6 @@ def _finalize(
     return rec
 
 
-def _grouped(winit_df: DataFrame) -> DataFrame:
-    """Distribute winit by r-tuple group and sort for the sweeps."""
-    return winit_df.repartition("r_lid").sortWithinPartitions(
-        "r_lid", "o_ts", "o_te", "s_lid"
-    )
-
-
 def _run_sweeps(
     r: DataFrame,
     s: DataFrame,
@@ -206,20 +171,34 @@ def _run_sweeps(
     with_negating: bool,
     finalize_op: str | None,
 ) -> DataFrame:
+    """Run LAWA_U (and LAWA_N) over every r-tuple group of winit.
+
+    When ``finalize_op`` is None, emits window rows; otherwise emits
+    finalized TP join output tuples for ``op`` in {"anti", "left"}
+    (right/full are composed from these by :func:`compose`).
+    """
     r_facts, s_facts = fact_columns(r), fact_columns(s)
     x = winit(r, s, theta)
     if finalize_op is None:
         schema = _window_schema(x.schema, s_facts)
     else:
         schema = _join_schema(x.schema, r_facts, s_facts, finalize_op)
-    cols = [f.name for f in schema.fields]
 
-    def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        return _sweep_partition(
-            batches, r_facts, s_facts, cols, with_negating, finalize_op
-        )
+    def sweep(group: list[dict]) -> Iterator[dict]:
+        head = group[0]
+        group.sort(key=lambda m: (m["o_ts"], m["o_te"], m["s_lid"] or ""))
+        stream = lawa_u.sweep_group(head["r_ts"], head["r_te"], group)
+        if with_negating:
+            stream = lawa_n.sweep_group(stream)
+        for w in stream:
+            if finalize_op is None:
+                yield _window_record(w, head, r_facts, s_facts)
+            else:
+                rec = _finalize(w, head, r_facts, s_facts, finalize_op)
+                if rec is not None:
+                    yield rec
 
-    return _grouped(x).mapInPandas(run, schema)
+    return map_groups(x, sweep, schema)
 
 
 # ---------------------------------------------------------------------------
@@ -243,22 +222,46 @@ def negation_join(r: DataFrame, s: DataFrame, theta: Theta, op: str) -> DataFram
     (r ⟖ s) or ``"full"`` (r ⟗ s) — all with TP semantics: snapshot
     reducibility and change preservation (paper Section III).
     """
+    return compose(_sweep_join, r, s, theta, op)
+
+
+def _sweep_join(r: DataFrame, s: DataFrame, theta: Theta, op: str) -> DataFrame:
+    """NJ's anti or left join: one winit join, one sweep pass."""
+    return _run_sweeps(r, s, theta, with_negating=True, finalize_op=op)
+
+
+def compose(
+    base: Callable[[DataFrame, DataFrame, Theta, str], DataFrame],
+    r: DataFrame,
+    s: DataFrame,
+    theta: Theta,
+    op: str,
+) -> DataFrame:
+    """The TP join ``op`` built from ``base``, which computes anti/left.
+
+    Shared by NJ and the TA baseline. The right outer join is the left
+    join of the swapped arguments with its sides renamed back; the full
+    outer join adds to the left join the anti join of s by r —
+    Algorithm 3 line 18 re-runs with swapped arguments and op = anti so
+    overlapping windows are not emitted twice.
+    """
     if op not in OPS:
         raise ValueError(f"op must be one of {OPS}, got {op!r}")
     if op in ("anti", "left"):
-        return _run_sweeps(r, s, theta, with_negating=True, finalize_op=op)
-    if op == "right":
-        return _swap_sides(
-            negation_join(s, r, theta.swapped(), "left"),
-            fact_columns(s),
-            fact_columns(r),
-        )
-    # full outer: left join plus the unmatched/negating windows of s
-    # w.r.t. r — Algorithm 3 line 18 re-runs with swapped arguments and
-    # op = anti so overlapping windows are not emitted twice.
-    left = negation_join(r, s, theta, "left")
-    right_only = negation_join(s, r, theta.swapped(), "anti")
+        return base(r, s, theta, op)
     r_facts, s_facts = fact_columns(r), fact_columns(s)
+    if op == "right":
+        swapped = base(s, r, theta.swapped(), "left")
+        return swapped.select(
+            *[F.col(f"s_{c}").alias(f"r_{c}") for c in r_facts],
+            *[F.col(f"r_{c}").alias(f"s_{c}") for c in s_facts],
+            "lineage",
+            "ts",
+            "te",
+            "p",
+        )
+    left = base(r, s, theta, "left")
+    right_only = base(s, r, theta.swapped(), "anti")
     left_types = {f.name: f.dataType for f in left.schema.fields}
     promoted = right_only.select(
         *[
@@ -272,17 +275,3 @@ def negation_join(r: DataFrame, s: DataFrame, theta: Theta, op: str) -> DataFram
         "p",
     )
     return left.unionByName(promoted)
-
-
-def _swap_sides(
-    df: DataFrame, left_facts: list[str], right_facts: list[str]
-) -> DataFrame:
-    """Rename ``r_*``↔``s_*`` and reorder for the right outer join."""
-    return df.select(
-        *[F.col(f"s_{c}").alias(f"r_{c}") for c in right_facts],
-        *[F.col(f"r_{c}").alias(f"s_{c}") for c in left_facts],
-        "lineage",
-        "ts",
-        "te",
-        "p",
-    )

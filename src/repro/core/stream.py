@@ -1,18 +1,22 @@
 """Streaming group iteration over sorted Arrow batches.
 
-The LAWA sweeps (and the TA baseline's normalization) process the
+The LAWA sweeps (and the TA baseline's align/normalize) process the
 winit join result one r-tuple group at a time, in sorted order, with
 state that never exceeds one group — the paper's pipelined executor
-model. Spark's ``mapInPandas`` hands each partition to Python as an
-iterator of Arrow-sized pandas batches; a group never spans partitions
-(we repartition by the group key first) but can span batches, so this
-helper re-chunks the batch stream into complete groups.
+model. :func:`map_groups` is the one place that distributes a winit
+DataFrame for such a pass: Spark's ``mapInPandas`` hands each partition
+to Python as an iterator of Arrow-sized pandas batches; a group never
+spans partitions (we repartition by the group key first) but can span
+batches, so :func:`iter_groups` re-chunks the batch stream into
+complete groups and :func:`chunked` renders the output rows.
 """
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 import pandas as pd
+from pyspark.sql import DataFrame
+from pyspark.sql.types import StructType
 
 
 def iter_groups(
@@ -51,3 +55,31 @@ def chunked(rows: list[dict], columns: list[str], size: int = 4096):
     for i in range(0, len(rows), size):
         chunk = rows[i : i + size]
         yield pd.DataFrame(chunk, columns=columns)
+
+
+def map_groups(
+    x: DataFrame, fn: Callable[[list[dict]], Iterable[dict]], schema: StructType
+) -> DataFrame:
+    """Run ``fn`` over every r-tuple group of the winit DataFrame ``x``.
+
+    Repartitions by ``r_lid``, sorts each partition by
+    ``(r_lid, o_ts, o_te, s_lid)`` and makes one ``mapInPandas`` pass:
+    each group's records go to ``fn``, whose output rows (dicts keyed
+    by the ``schema`` field names) are buffered up to 8192 rows and
+    emitted as pandas batches.
+    """
+    columns = [f.name for f in schema.fields]
+
+    def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+        rows: list[dict] = []
+        for _, group in iter_groups(batches, "r_lid"):
+            rows.extend(fn(group))
+            if len(rows) >= 8192:
+                yield from chunked(rows, columns)
+                rows = []
+        yield from chunked(rows, columns)
+
+    grouped = x.repartition("r_lid").sortWithinPartitions(
+        "r_lid", "o_ts", "o_te", "s_lid"
+    )
+    return grouped.mapInPandas(run, schema)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import pandas as pd
 from pyspark.sql import Column, DataFrame, functions as F
 
 _OPS = {"=", "!=", "<", "<=", ">", ">="}
@@ -92,9 +93,15 @@ class Theta:
         return cond
 
     def matches(self, left_row: dict, right_row: dict) -> bool:
-        """Pure-Python evaluation for the reference implementation."""
+        """Pure-Python evaluation for the reference implementation.
+
+        A term with a null or NaN operand is false, as in SQL (and so
+        in Spark and DuckDB).
+        """
         return all(
-            _PY_OPS[op](left_row[lcol], right_row[rcol])
+            not pd.isna(a := left_row[lcol])
+            and not pd.isna(b := right_row[rcol])
+            and _PY_OPS[op](a, b)
             for lcol, op, rcol in self.terms
         )
 

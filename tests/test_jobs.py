@@ -1,11 +1,12 @@
 """Smoke tests: every experiment function runs end-to-end (tiny sizes).
 
-The jobs in ``jobs/`` are thin argv wrappers around these functions;
-running the functions in-process exercises the same code paths without
-paying spark-submit startup per job.
+``python -m repro.bench <table>`` is a thin argv dispatcher around
+these functions; running the functions in-process exercises the same
+code paths without paying a Spark start-up per table.
 """
 import pytest
 
+from repro.bench import __main__ as bench_main
 from repro.bench.experiments import (
     table4_dataset_stats,
     table_e1_wuo,
@@ -56,15 +57,24 @@ def test_e5_runs(spark):
     assert [r[0] for r in t.rows] == ["webkit", "meteo"]
 
 
-def test_job_scripts_are_importable():
-    """The argv wrappers parse (no spark-submit in unit tests)."""
-    import ast
-    import pathlib
-
-    jobs = sorted(pathlib.Path(__file__).parent.parent.glob("jobs/*.py"))
-    assert len(jobs) == 7
-    for path in jobs:
-        tree = ast.parse(path.read_text())
-        names = {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}
-        if path.name != "_common.py":
-            assert "main" in names, path
+def test_every_table_dispatches(monkeypatch):
+    """``python -m repro.bench <table>`` reaches each table's function
+    with its arguments (no Spark: the functions are stubbed)."""
+    calls = []
+    for name in bench_main.TABLES:
+        monkeypatch.setitem(
+            bench_main.TABLES, name, lambda *a, name=name: calls.append((name, a))
+        )
+    for name in bench_main.TABLES:
+        bench_main.run("spark", name, [])
+    bench_main.run("spark", "table4", ["200"])
+    bench_main.run("spark", "e1", ["meteo"])
+    assert calls == [
+        ("table4", ("spark",)),
+        *[(e, ("spark", kind)) for e in ("e1", "e2", "e3", "e4")
+          for kind in ("webkit", "meteo")],
+        ("e5", ("spark",)),
+        ("table4", ("spark", 200)),
+        ("e1", ("spark", "meteo")),
+    ]
+    assert bench_main.main(["nope"]) == 2

@@ -1,13 +1,16 @@
 """End-to-end tests for the NJ operator: golden paper results, the
 snapshot reference, invariants, and the DuckDB probability oracle."""
+import re
+
 import pytest
 
+from repro.baselines.alignment import ta_negation_join
 from repro.core.negation_joins import negation_join
 from repro.core.reference import reference_negation_join
 from repro.core.theta import Theta
 from repro.oracle import assert_equivalent
 from repro.synth_data import random_tp_pdf, tp_workload_pdf
-from repro.tp.model import validate_tp_pdf
+from repro.tp.model import tp_pdf, validate_tp_pdf
 from repro.tp.snapshot import expand_df
 from util import norm, paper_a, paper_b, rows
 
@@ -90,6 +93,25 @@ class TestPaperGolden:
             negation_join(a, b, THETA, "inner")
 
 
+@pytest.mark.parametrize("op, passes", [("anti", 1), ("left", 1), ("right", 1), ("full", 2)])
+def test_plan_has_one_join_per_sweep_pass(ab, op, passes):
+    """Each sweep pass costs exactly one θ∧overlap join and one shuffle
+    by r_lid (paper Fig. 10a); the full join makes two passes."""
+    a, b = ab
+    plan = negation_join(a, b, THETA, op)._jdf.queryExecution().executedPlan()
+    nodes = [
+        re.sub(r"^[\s:|+-]*(\*\(\d+\)\s*)?", "", line).split(" ", 1)
+        for line in plan.toString().splitlines()
+    ]
+    names = [n[0] for n in nodes]
+    assert sum(n.endswith("Join") or n == "CartesianProduct" for n in names) == passes
+    assert names.count("MapInPandas") == passes
+    assert sum(
+        n[0] == "Exchange" and n[1].startswith("hashpartitioning(r_lid#")
+        for n in nodes
+    ) == passes
+
+
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("op", ["anti", "left", "right", "full"])
 def test_matches_snapshot_reference(spark, seed, op):
@@ -111,6 +133,22 @@ def test_matches_reference_on_workloads(spark, kind, n):
         spark.createDataFrame(r_pdf), spark.createDataFrame(s_pdf), theta, "left"
     ))
     assert got == rows(reference_negation_join(r_pdf, s_pdf, theta, "left"))
+
+
+@pytest.mark.parametrize("op", ["anti", "left", "right", "full"])
+def test_null_theta_keys_never_match(spark, op):
+    """A null θ key matches nothing (SQL semantics) in NJ, TA and the
+    reference alike, so every output tuple is an unmatched base tuple."""
+    r_pdf = tp_pdf([(None, "a1", 0, 5, 0.5)], ["k"])
+    s_pdf = tp_pdf([(None, "b1", 1, 3, 0.4)], ["k"])
+    schema = "k string, lid string, ts long, te long, p double"
+    r = spark.createDataFrame(r_pdf, schema)
+    s = spark.createDataFrame(s_pdf, schema)
+    theta = Theta.equi("k")
+    ref = rows(reference_negation_join(r_pdf, s_pdf, theta, op))
+    assert all(row[-4] in ("a1", "b1") for row in ref)
+    assert rows(negation_join(r, s, theta, op)) == ref
+    assert rows(ta_negation_join(r, s, theta, op)) == ref
 
 
 class TestOracle:

@@ -1,19 +1,13 @@
-"""Tests for the synthetic data generators (TP workloads + TPC-H-lite)."""
+"""Tests for the synthetic TP workload generators."""
 import pytest
 
 from repro.core.theta import Theta
-from repro.oracle import assert_equivalent
 from repro.synth_data import (
-    customer,
-    lineitem,
     meteo_lite_pdf,
-    orders,
     random_tp_pdf,
     tp_workload,
     tp_workload_pdf,
-    uniform_keys,
     webkit_lite_pdf,
-    zipf_keys,
 )
 from repro.tp.model import validate_tp_pdf
 
@@ -104,52 +98,3 @@ class TestWorkloadPairs:
         with pytest.raises(ValueError):
             tp_workload_pdf("tpch", 10)
 
-
-class TestTpchLite:
-    """The provided TPC-H-lite generators, sanity-checked via DuckDB."""
-
-    def test_lineitem_aggregate_against_oracle(self, spark):
-        li = lineitem(spark, sf=0.001, seed=0)
-        li_pdf = li.toPandas()
-        from pyspark.sql import functions as F
-
-        agg = li.groupBy("l_returnflag").agg(
-            F.sum("l_quantity").alias("sum_qty"),
-            F.count(F.lit(1)).alias("cnt"),
-        )
-        assert_equivalent(
-            agg,
-            """
-            SELECT l_returnflag, sum(l_quantity) AS sum_qty, count(*) AS cnt
-            FROM li GROUP BY l_returnflag
-            """,
-            li=li_pdf,
-        )
-
-    def test_orders_join_customer_against_oracle(self, spark):
-        o = orders(spark, sf=0.001, seed=1)
-        c = customer(spark, sf=0.001, seed=2)
-        from pyspark.sql import functions as F
-
-        j = (
-            o.join(c, o["o_custkey"] == c["c_custkey"], "inner")
-            .groupBy("c_mktsegment")
-            .agg(F.count(F.lit(1)).alias("cnt"))
-        )
-        assert_equivalent(
-            j,
-            """
-            SELECT c_mktsegment, count(*) AS cnt
-            FROM o JOIN c ON o.o_custkey = c.c_custkey
-            GROUP BY c_mktsegment
-            """,
-            o=o.toPandas(),
-            c=c.toPandas(),
-        )
-
-    def test_key_generators(self, spark):
-        z = zipf_keys(spark, n=1000, n_keys=50, seed=0).toPandas()
-        u = uniform_keys(spark, n=1000, n_keys=50, seed=0).toPandas()
-        assert z["k"].between(1, 50).all() and u["k"].between(1, 50).all()
-        # zipf is skewed: the most common key dominates
-        assert z["k"].value_counts().iloc[0] > u["k"].value_counts().iloc[0]
