@@ -25,11 +25,14 @@ Cost structure faithfully reproduced from the paper: every Φ/N node is
 itself "based on a conventional left-outer join" at winit scale, so TA
 executes the expensive θ∧overlap join two to four times plus extra
 fragment joins and a dedup union, whereas NJ executes it exactly once.
-Each operator's splitting step runs through the same per-group pass
-as the NJ sweeps (:func:`repro.core.stream.map_groups`), and the right
-and full outer joins are composed from TA's anti and left joins by the
-same :func:`repro.core.negation_joins.compose` as NJ's, so the
-comparison isolates the *plan shape*, not implementation quality.
+Each operator's splitting step runs after the same repartition and
+sort as the NJ sweeps, one group at a time in Python
+(:func:`repro.core.stream.map_groups`), and the right and full outer
+joins are composed from TA's anti and left joins by the same
+:func:`repro.core.negation_joins.compose` as NJ's. NJ's sweeps run as
+a columnar kernel over whole batches of groups while TA's splits stay
+row-at-a-time, so a comparison measures that difference on top of the
+*plan shape*.
 """
 from __future__ import annotations
 

@@ -17,6 +17,10 @@ windows' start events; every elementary interval whose active set is
 non-empty becomes one negating window. Maximality (TP change
 preservation) is automatic — base-tuple ids are unique, so the active
 *set* necessarily changes at every event point.
+
+This generator is the specification: NJ's Spark pass runs the columnar
+kernel :mod:`repro.core.columnar`, which the property tests compare
+with it.
 """
 from __future__ import annotations
 

@@ -28,6 +28,10 @@ playing the role of ``prevWindTe``/``windTs``:
 Windows are plain dicts ``{w_ts, w_te, kind, s_row, s_lids, s_ps}``
 with ``kind`` in ``{"U", "O"}``; the caller supplies the r-side
 context (fact, lid, p) when materializing output rows.
+
+This generator is the specification: NJ's Spark pass runs the columnar
+kernel :mod:`repro.core.columnar`, which the property tests compare
+with it.
 """
 from __future__ import annotations
 

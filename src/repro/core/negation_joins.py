@@ -5,13 +5,20 @@ approach (paper Fig. 10a) is:
 
 1. ``winit = r ⟕_{θ ∧ overlap} s`` — ONE Catalyst join
    (:func:`repro.core.windows.winit`);
-2. :func:`repro.core.stream.map_groups`: repartition by the r-tuple
-   group key (``r_lid``), sort each partition by ``(r_lid, o_ts)`` —
-   the distributed equivalent of Algorithm 3 line 2 — and make one
-   ``mapInPandas`` pass that streams each group through LAWA_U and
-   (when requested) LAWA_N, pipelined: a window emitted by LAWA_U
-   flows into LAWA_N and out as a finalized output tuple without ever
-   materializing the intermediate sets.
+2. :func:`repro.core.stream.map_group_frames`: repartition by the
+   r-tuple group key (``r_lid``), sort each partition by
+   ``(r_lid, o_ts, o_te, s_lid)`` — the distributed equivalent of
+   Algorithm 3 line 2 — and make one ``mapInPandas`` pass. Each Arrow
+   batch is cut after its last complete group, and one columnar kernel
+   (:func:`repro.core.columnar.sweep`) runs LAWA_U, (when requested)
+   LAWA_N and finalize over all groups of the frame at once, without
+   materializing more than one batch plus one group.
+
+The row-at-a-time generators :func:`repro.core.lawa_u.sweep_group`,
+:func:`repro.core.lawa_n.sweep_group` and :func:`_finalize` (one window
+to one output tuple) are the specification of that kernel: they follow
+the paper's algorithms line by line, and the property tests compare the
+kernel with them.
 
 Entry points mirror the stages the paper benchmarks separately:
 
@@ -36,12 +43,15 @@ Output schemas:
 """
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from functools import partial
+from typing import Callable
 
 from pyspark.sql import DataFrame, functions as F
 from pyspark.sql.types import (
     ArrayType,
     DoubleType,
+    FloatType,
+    IntegralType,
     LongType,
     StringType,
     StructField,
@@ -51,8 +61,8 @@ from pyspark.sql.types import (
 from ..lineage.formula import conjunction_lineage, negation_lineage
 from ..lineage.probability import negation_probability
 from ..tp.model import fact_columns
-from . import lawa_n, lawa_u
-from .stream import map_groups
+from . import columnar, lawa_u
+from .stream import map_group_frames
 from .theta import Theta
 from .windows import winit
 
@@ -60,8 +70,51 @@ OPS = ("anti", "left", "right", "full")
 
 
 # ---------------------------------------------------------------------------
-# schemas
+# input checks and schemas
 # ---------------------------------------------------------------------------
+
+_TP_TYPES = {
+    "lid": ((StringType,), "a string"),
+    "ts": ((IntegralType,), "an integer"),
+    "te": ((IntegralType,), "an integer"),
+    "p": ((DoubleType, FloatType), "a double or float"),
+}
+
+
+def _validate(r: DataFrame, s: DataFrame, op: str | None) -> None:
+    """Raise ``ValueError`` for inputs that cannot make a valid plan.
+
+    Checks that both relations have ``lid``/``ts``/``te``/``p`` of the
+    right types, and that no fact column clashes with an output column
+    of ``op`` (None: the window DataFrames of :func:`wuo` and
+    :func:`all_windows`).
+    """
+    for side, df in (("r", r), ("s", s)):
+        types = {f.name: f.dataType for f in df.schema.fields}
+        for c, (ok, want) in _TP_TYPES.items():
+            if c not in types:
+                raise ValueError(f"{side} has no column {c!r}")
+            if not isinstance(types[c], ok):
+                raise ValueError(
+                    f"column {c!r} of {side} must be {want}, "
+                    f"got {types[c].simpleString()}"
+                )
+    # anti output carries the positive side's facts unprefixed; the full
+    # join's second pass is the anti join of s by r
+    positive = {"anti": ("r", r), "full": ("s", s)}.get(op)
+    if positive and "lineage" in fact_columns(positive[1]):
+        raise ValueError(
+            f"fact column 'lineage' of {positive[0]} clashes with the "
+            f"output column 'lineage' of the {op} join"
+        )
+    if op is None:
+        for c in ("lids", "ps"):
+            if c in fact_columns(s):
+                raise ValueError(
+                    f"fact column {c!r} of s clashes with the window "
+                    f"column 's_{c}'"
+                )
+
 
 def _window_schema(winit_schema: StructType, s_facts: list[str]) -> StructType:
     """Schema of a window DataFrame, derived from the winit schema."""
@@ -109,26 +162,8 @@ def _join_schema(
 
 
 # ---------------------------------------------------------------------------
-# the per-group sweep
+# finalize (the specification) and the sweep pass
 # ---------------------------------------------------------------------------
-
-def _window_record(
-    w: dict, head: dict, r_fact_cols: list[str], s_fact_cols: list[str]
-) -> dict:
-    """One window as a row of the window schema."""
-    rec = {f"r_{c}": head[f"r_{c}"] for c in r_fact_cols}
-    rec["r_lid"] = head["r_lid"]
-    rec["r_p"] = head["r_p"]
-    rec["w_ts"] = w["w_ts"]
-    rec["w_te"] = w["w_te"]
-    s_row = w["s_row"]
-    for c in s_fact_cols:
-        rec[f"s_{c}"] = s_row[f"s_{c}"] if s_row else None
-    rec["s_lids"] = w["s_lids"]
-    rec["s_ps"] = w["s_ps"]
-    rec["kind"] = w["kind"]
-    return rec
-
 
 def _finalize(
     w: dict, head: dict, r_fact_cols: list[str], s_fact_cols: list[str], op: str
@@ -136,7 +171,8 @@ def _finalize(
     """Turn one window into one TP output tuple (Alg. 3 lines 10-17).
 
     Applies the per-window-kind lineage-concatenation function and the
-    exact probability valuation under tuple independence.
+    exact probability valuation under tuple independence. The columnar
+    kernel (:func:`repro.core.columnar.sweep`) is tested against it.
     """
     kind = w["kind"]
     if kind == lawa_u.KIND_OVERLAPPING and op == "anti":
@@ -171,7 +207,8 @@ def _run_sweeps(
     with_negating: bool,
     finalize_op: str | None,
 ) -> DataFrame:
-    """Run LAWA_U (and LAWA_N) over every r-tuple group of winit.
+    """Run LAWA_U (and LAWA_N) over every r-tuple group of winit, as
+    the columnar kernel in one :func:`map_group_frames` pass.
 
     When ``finalize_op`` is None, emits window rows; otherwise emits
     finalized TP join output tuples for ``op`` in {"anti", "left"}
@@ -183,22 +220,15 @@ def _run_sweeps(
         schema = _window_schema(x.schema, s_facts)
     else:
         schema = _join_schema(x.schema, r_facts, s_facts, finalize_op)
-
-    def sweep(group: list[dict]) -> Iterator[dict]:
-        head = group[0]
-        group.sort(key=lambda m: (m["o_ts"], m["o_te"], m["s_lid"] or ""))
-        stream = lawa_u.sweep_group(head["r_ts"], head["r_te"], group)
-        if with_negating:
-            stream = lawa_n.sweep_group(stream)
-        for w in stream:
-            if finalize_op is None:
-                yield _window_record(w, head, r_facts, s_facts)
-            else:
-                rec = _finalize(w, head, r_facts, s_facts, finalize_op)
-                if rec is not None:
-                    yield rec
-
-    return map_groups(x, sweep, schema)
+    facts = [f"r_{c}" for c in r_facts] + [f"s_{c}" for c in s_facts]
+    kernel = partial(
+        columnar.sweep,
+        r_facts=r_facts,
+        s_facts=s_facts,
+        with_negating=with_negating,
+        op=finalize_op,
+    )
+    return map_group_frames(columnar.carry_integral_nulls(x, facts), kernel, schema)
 
 
 # ---------------------------------------------------------------------------
@@ -207,11 +237,13 @@ def _run_sweeps(
 
 def wuo(r: DataFrame, s: DataFrame, theta: Theta) -> DataFrame:
     """Unmatched + overlapping windows of r w.r.t. s (paper W_UO)."""
+    _validate(r, s, None)
     return _run_sweeps(r, s, theta, with_negating=False, finalize_op=None)
 
 
 def all_windows(r: DataFrame, s: DataFrame, theta: Theta) -> DataFrame:
     """All three window sets of r w.r.t. s, computed in one pipeline."""
+    _validate(r, s, None)
     return _run_sweeps(r, s, theta, with_negating=True, finalize_op=None)
 
 
@@ -221,7 +253,12 @@ def negation_join(r: DataFrame, s: DataFrame, theta: Theta, op: str) -> DataFram
     ``op``: ``"anti"`` (r ▷ s), ``"left"`` (r ⟕ s), ``"right"``
     (r ⟖ s) or ``"full"`` (r ⟗ s) — all with TP semantics: snapshot
     reducibility and change preservation (paper Section III).
+    Raises ``ValueError`` for a missing or mistyped ``lid``/``ts``/
+    ``te``/``p`` column or a fact column that clashes with an output
+    column.
     """
+    if op in OPS:
+        _validate(r, s, op)
     return compose(_sweep_join, r, s, theta, op)
 
 

@@ -1,19 +1,30 @@
 """Streaming group iteration over sorted Arrow batches.
 
 The LAWA sweeps (and the TA baseline's align/normalize) process the
-winit join result one r-tuple group at a time, in sorted order, with
-state that never exceeds one group — the paper's pipelined executor
-model. :func:`map_groups` is the one place that distributes a winit
-DataFrame for such a pass: Spark's ``mapInPandas`` hands each partition
-to Python as an iterator of Arrow-sized pandas batches; a group never
-spans partitions (we repartition by the group key first) but can span
-batches, so :func:`iter_groups` re-chunks the batch stream into
-complete groups and :func:`chunked` renders the output rows.
+winit join result by r-tuple group, in sorted order, with state bounded
+by one group (TA) or one Arrow batch plus one group (NJ) — the paper's
+pipelined executor model. Spark's ``mapInPandas`` hands each partition to Python as an
+iterator of Arrow-sized pandas batches; a group never spans partitions
+(we repartition by the group key first) but can span batches.
+:func:`_by_group` is the one place that distributes a winit DataFrame
+for such a pass, and two passes use it:
+
+- :func:`map_group_frames` (NJ): :func:`group_frames` cuts the batch
+  stream into frames of complete groups, and a columnar kernel
+  (:func:`repro.core.columnar.sweep`) turns each frame into one output
+  frame;
+- :func:`map_groups` (TA): :func:`iter_groups` re-chunks the batch
+  stream into one list of records per group, and :func:`chunked`
+  renders the output rows.
+
+:func:`iter_groups` and :func:`chunked` are also the row-at-a-time
+specification that NJ's kernel is tested against.
 """
 from __future__ import annotations
 
 from typing import Callable, Iterable, Iterator
 
+import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql.types import StructType
@@ -46,6 +57,34 @@ def iter_groups(
         yield current_key, current
 
 
+def group_frames(
+    batches: Iterator[pd.DataFrame], key: str
+) -> Iterator[pd.DataFrame]:
+    """Re-cut a sorted batch stream into frames of complete groups.
+
+    Each batch is cut after its last ``key`` change. Only the unfinished
+    trailing group is carried into the next batch, so a frame holds at
+    most one batch plus the rest of one group, never a whole partition.
+    """
+    pending: list[pd.DataFrame] = []
+    pending_key: object = None
+    for batch in batches:
+        if batch.empty:
+            continue
+        keys = batch[key].to_numpy()
+        changes = np.flatnonzero(keys[1:] != keys[:-1])
+        cut = int(changes[-1]) + 1 if len(changes) else 0
+        if cut == 0 and pending and keys[0] == pending_key:
+            pending.append(batch)
+            continue
+        done = pending + [batch.iloc[:cut]] if cut else pending
+        if done:
+            yield pd.concat(done, ignore_index=True) if len(done) > 1 else done[0]
+        pending, pending_key = [batch.iloc[cut:]], keys[-1]
+    if pending:
+        yield pd.concat(pending, ignore_index=True) if len(pending) > 1 else pending[0]
+
+
 def chunked(rows: list[dict], columns: list[str], size: int = 4096):
     """Render output rows as pandas DataFrames of bounded size.
 
@@ -57,14 +96,37 @@ def chunked(rows: list[dict], columns: list[str], size: int = 4096):
         yield pd.DataFrame(chunk, columns=columns)
 
 
+def _by_group(x: DataFrame) -> DataFrame:
+    """``x`` repartitioned by ``r_lid`` and each partition sorted by
+    ``(r_lid, o_ts, o_te, s_lid)``."""
+    return x.repartition("r_lid").sortWithinPartitions(
+        "r_lid", "o_ts", "o_te", "s_lid"
+    )
+
+
+def map_group_frames(
+    x: DataFrame, fn: Callable[[pd.DataFrame], pd.DataFrame], schema: StructType
+) -> DataFrame:
+    """Run ``fn`` over frames of complete r-tuple groups of the winit
+    DataFrame ``x`` (see :func:`group_frames`), in one ``mapInPandas``
+    pass. ``fn`` returns one output frame with the ``schema`` columns."""
+
+    def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+        for frame in group_frames(batches, "r_lid"):
+            out = fn(frame)
+            if len(out):
+                yield out
+
+    return _by_group(x).mapInPandas(run, schema)
+
+
 def map_groups(
     x: DataFrame, fn: Callable[[list[dict]], Iterable[dict]], schema: StructType
 ) -> DataFrame:
     """Run ``fn`` over every r-tuple group of the winit DataFrame ``x``.
 
-    Repartitions by ``r_lid``, sorts each partition by
-    ``(r_lid, o_ts, o_te, s_lid)`` and makes one ``mapInPandas`` pass:
-    each group's records go to ``fn``, whose output rows (dicts keyed
+    Makes one ``mapInPandas`` pass over :func:`_by_group`: each
+    group's records go to ``fn``, whose output rows (dicts keyed
     by the ``schema`` field names) are buffered up to 8192 rows and
     emitted as pandas batches.
     """
@@ -79,7 +141,4 @@ def map_groups(
                 rows = []
         yield from chunked(rows, columns)
 
-    grouped = x.repartition("r_lid").sortWithinPartitions(
-        "r_lid", "o_ts", "o_te", "s_lid"
-    )
-    return grouped.mapInPandas(run, schema)
+    return _by_group(x).mapInPandas(run, schema)

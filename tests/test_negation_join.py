@@ -2,10 +2,11 @@
 snapshot reference, invariants, and the DuckDB probability oracle."""
 import re
 
+import pandas as pd
 import pytest
 
 from repro.baselines.alignment import ta_negation_join
-from repro.core.negation_joins import negation_join
+from repro.core.negation_joins import all_windows, negation_join, wuo
 from repro.core.reference import reference_negation_join
 from repro.core.theta import Theta
 from repro.oracle import assert_equivalent
@@ -149,6 +150,68 @@ def test_null_theta_keys_never_match(spark, op):
     assert all(row[-4] in ("a1", "b1") for row in ref)
     assert rows(negation_join(r, s, theta, op)) == ref
     assert rows(ta_negation_join(r, s, theta, op)) == ref
+
+
+TP = "lid string, ts long, te long, p double"
+OK = f"k string, {TP}"
+BAD_INPUTS = {  # id: (call, r schema, s schema, the column the error names)
+    "anti-r-fact-lineage": ("anti", f"lineage string, {OK}", OK, "lineage"),
+    "full-s-fact-lineage": ("full", OK, f"lineage string, {OK}", "lineage"),
+    "wuo-s-fact-lids": ("wuo", OK, f"lids string, {OK}", "s_lids"),
+    "windows-s-fact-ps": ("all", OK, f"ps long, {OK}", "s_ps"),
+    "missing-p": ("left", "k string, lid string, ts long, te long", OK, "'p'"),
+    "missing-lid": ("wuo", OK, "k string, ts long, te long, p double", "'lid'"),
+    "lid-long": ("left", "k string, lid long, ts long, te long, p double", OK, "'lid'"),
+    "ts-string": ("anti", OK, "k string, lid string, ts string, te long, p double", "'ts'"),
+    "te-double": ("right", "k string, lid string, ts long, te double, p double", OK, "'te'"),
+    "p-string": ("all", OK, "k string, lid string, ts long, te long, p string", "'p'"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_rejects_bad_input_when_called(spark, case):
+    """Bad schemas fail at the call with the column named, not inside a
+    Python worker at action time."""
+    call, r_schema, s_schema, column = case
+    r = spark.createDataFrame([], r_schema)
+    s = spark.createDataFrame([], s_schema)
+    theta = Theta.equi("k")
+    run = {"wuo": wuo, "all": all_windows}.get(call)
+    with pytest.raises(ValueError, match=column):
+        if run:
+            run(r, s, theta)
+        else:
+            negation_join(r, s, theta, call)
+
+
+@pytest.mark.parametrize("op", ["left", "right", "full"])
+def test_int64_facts_beyond_2_53_are_exact(spark, op):
+    """Integral facts survive the Python pass exactly, also next to
+    nulls (pandas would carry such a column as float64)."""
+    big = 2**60 + 1
+    r_pdf = tp_pdf(
+        [("x", big, "a1", 0, 10, 0.5), ("y", big + 2, "a2", 0, 5, 0.6)], ["k", "v"]
+    )
+    s_pdf = tp_pdf(
+        [("x", big + 4, "b1", 3, 6, 0.4), ("z", -big, "b2", 1, 4, 0.7)], ["k", "w"]
+    )
+    theta = Theta.equi("k")
+    out = negation_join(
+        spark.createDataFrame(r_pdf), spark.createDataFrame(s_pdf), theta, op
+    )
+    assert {r["s_w"] for r in out.collect()} >= {big + 4}
+    # the reference copies facts opaquely, so compare them as text
+    as_text = {"r_v": str, "s_w": str}
+    got = pd.DataFrame([r.asDict() for r in out.collect()], dtype=object)
+    got = got.apply(
+        lambda col: col.map(lambda v: None if v is None else as_text[col.name](v))
+        if col.name in as_text
+        else col
+    )
+    ref = reference_negation_join(
+        r_pdf.astype({"v": str}), s_pdf.astype({"w": str}), theta, op
+    )
+    assert rows(got) == rows(ref)
 
 
 class TestOracle:

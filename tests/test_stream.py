@@ -2,7 +2,7 @@
 import pandas as pd
 import pytest
 
-from repro.core.stream import chunked, iter_groups
+from repro.core.stream import chunked, group_frames, iter_groups
 
 
 def batches(*frames):
@@ -53,6 +53,39 @@ def test_no_rows_yields_nothing():
 def test_string_keys():
     out = list(iter_groups(batches([{"k": "a"}, {"k": "b"}]), "k"))
     assert [k for k, _ in out] == ["a", "b"]
+
+
+def keys_of(frames):
+    return [f["k"].tolist() for f in frames]
+
+
+def test_group_frames_cut_after_last_complete_group():
+    frames = group_frames(
+        batches(
+            [{"k": 1}, {"k": 2}, {"k": 2}],
+            [{"k": 2}, {"k": 3}],
+            [{"k": 3}, {"k": 4}],
+        ),
+        "k",
+    )
+    assert keys_of(frames) == [[1], [2, 2, 2], [3, 3], [4]]
+
+
+def test_group_frames_group_spanning_many_batches():
+    frames = group_frames(
+        batches([{"k": 1}, {"k": 2}], [{"k": 2}], [], [{"k": 2}], [{"k": 2}, {"k": 3}]),
+        "k",
+    )
+    assert keys_of(frames) == [[1], [2, 2, 2, 2], [3]]
+
+
+def test_group_frames_batch_starting_a_new_group():
+    frames = group_frames(batches([{"k": 1}, {"k": 1}], [{"k": 2}, {"k": 2}]), "k")
+    assert keys_of(frames) == [[1, 1], [2, 2]]
+
+
+def test_group_frames_no_rows_yields_nothing():
+    assert list(group_frames(batches([], []), "k")) == []
 
 
 def test_chunked_bounds_frame_size():
