@@ -28,8 +28,10 @@ fragment joins and a dedup union, whereas NJ executes it exactly once.
 Each operator's splitting step runs after the same repartition and
 sort as the NJ sweeps, one group at a time in Python
 (:func:`repro.core.stream.map_groups`), and the right and full outer
-joins are composed from TA's anti and left joins by the same
-:func:`repro.core.negation_joins.compose` as NJ's. NJ's sweeps run as
+joins are composed from TA's anti and left joins by
+:func:`repro.core.negation_joins.compose`, which also builds NJ's right
+outer join; NJ's full outer join makes one θ∧overlap join instead of
+TA's left and anti joins. NJ's sweeps run as
 a columnar kernel over whole batches of groups while TA's splits stay
 row-at-a-time, so a comparison measures that difference on top of the
 *plan shape*.
@@ -42,7 +44,7 @@ from pyspark.sql import DataFrame, functions as F
 from pyspark.sql.types import LongType, StructField, StructType
 
 from ..core.lawa_u import KIND_NEGATING, KIND_OVERLAPPING, KIND_UNMATCHED
-from ..core.negation_joins import compose
+from ..core.negation_joins import _validate, compose
 from ..core.stream import map_groups
 from ..core.theta import Theta
 from ..core.windows import NO_OVERLAP, winit
@@ -348,7 +350,12 @@ def finalize_windows(windows: DataFrame, r: DataFrame, s: DataFrame, op: str) ->
 
 
 def ta_negation_join(r: DataFrame, s: DataFrame, theta: Theta, op: str) -> DataFrame:
-    """The TP join with negation, computed by the TA baseline."""
+    """The TP join with negation, computed by the TA baseline.
+
+    Accepts the inputs :func:`repro.core.negation_joins.negation_join`
+    accepts and raises the same ``ValueError`` for the others.
+    """
+    _validate(r, s, op)
     return compose(_ta_join, r, s, theta, op)
 
 

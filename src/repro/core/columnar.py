@@ -27,6 +27,11 @@ generators are the specification: :func:`repro.core.lawa_u.sweep_group`,
   ``r_p``, ``r_p·s_p`` or ``r_p·Π(1−p_i)``, multiplied in the same
   order as the specification.
 
+:func:`full_sweep` runs the same windows over the rows of NJ's full
+outer join, where each group is an r tuple against s or an s tuple
+against r, and emits the left join for the first kind of group and the
+anti join for the second.
+
 Integral fact columns reach the kernel null-free, as the value (nulls
 replaced by 0) plus a boolean :func:`null_flag` column; pandas would
 otherwise turn an integral column with nulls into float64 and round
@@ -126,9 +131,12 @@ def _starts(values: np.ndarray) -> np.ndarray:
 
 def _windows(frame: pd.DataFrame, with_negating: bool) -> dict[str, Block]:
     """The LAWA_U (and, if ``with_negating``, LAWA_N) windows of every
-    group of ``frame``, by kind."""
+    group of ``frame``, by kind. A group is a run of one ``r_lid`` and,
+    in the full outer join's rows, one ``side``."""
     n = len(frame)
     new_group = _starts(frame["r_lid"].to_numpy())
+    if "side" in frame.columns:
+        new_group |= _starts(frame["side"].to_numpy())
     group = np.cumsum(new_group) - 1
     first = np.flatnonzero(new_group)
     last = np.append(first[1:], n) - 1
@@ -288,6 +296,26 @@ def _probability(kind: str, b: Block, r_p: np.ndarray, s_p: np.ndarray) -> np.nd
     return np.multiply.reduceat(factors, b.offsets[:-1] + np.arange(len(b)))
 
 
+def _join_tuples(
+    frame: pd.DataFrame, by_kind: dict[str, Block], w: Block, facts: dict
+) -> pd.DataFrame:
+    """The finalized TP join tuples of the windows ``w`` (``by_kind``
+    concatenated): the ``facts`` columns, then lineage, ts, te and p."""
+    r_p = frame["r_p"].to_numpy(np.float64)
+    s_p = frame["s_p"].to_numpy(np.float64)
+    r_lid = pa.array(frame["r_lid"].to_numpy(), pa.string())
+    s_lid = pa.array(frame["s_lid"].to_numpy(), pa.string())
+    out = dict(facts)
+    out["lineage"] = pa.concat_arrays(
+        [_lineage(k, b, r_lid, s_lid) for k, b in by_kind.items()]
+    ).to_pandas()
+    out["ts"], out["te"] = w.ts, w.te
+    out["p"] = np.concatenate(
+        [_probability(k, b, r_p, s_p) for k, b in by_kind.items()]
+    )
+    return pd.DataFrame(out)
+
+
 def sweep(
     frame: pd.DataFrame,
     r_facts: list[str],
@@ -305,30 +333,54 @@ def sweep(
     if op == "anti":
         del by_kind[KIND_OVERLAPPING]  # anti join keeps windows with negation
     w = _concat(list(by_kind.values()))
-    r_p = frame["r_p"].to_numpy(np.float64)
-    s_p = frame["s_p"].to_numpy(np.float64)
-    s_lid = pa.array(frame["s_lid"].to_numpy(), pa.string())
     out: dict[str, object] = {}
     for c in r_facts:
         out[c if op == "anti" else f"r_{c}"] = _take(frame, f"r_{c}", w.head)
     if op is None:
         out["r_lid"] = frame["r_lid"].to_numpy()[w.head]
-        out["r_p"] = r_p[w.head]
+        out["r_p"] = frame["r_p"].to_numpy(np.float64)[w.head]
         out["w_ts"], out["w_te"] = w.ts, w.te
     if op != "anti":
         for c in s_facts:
             out[f"s_{c}"] = _take(frame, f"s_{c}", w.src)
-    if op is None:
-        out["s_lids"] = _lists(w.offsets, s_lid.take(w.members)).to_pandas()
-        out["s_ps"] = _lists(w.offsets, pa.array(s_p[w.members])).to_pandas()
-        out["kind"] = np.repeat(list(by_kind), [len(b) for b in by_kind.values()])
-        return pd.DataFrame(out)
-    r_lid = pa.array(frame["r_lid"].to_numpy(), pa.string())
-    out["lineage"] = pa.concat_arrays(
-        [_lineage(k, b, r_lid, s_lid) for k, b in by_kind.items()]
-    ).to_pandas()
-    out["ts"], out["te"] = w.ts, w.te
-    out["p"] = np.concatenate(
-        [_probability(k, b, r_p, s_p) for k, b in by_kind.items()]
-    )
+    if op is not None:
+        return _join_tuples(frame, by_kind, w, out)
+    s_p = frame["s_p"].to_numpy(np.float64)
+    s_lid = pa.array(frame["s_lid"].to_numpy(), pa.string())
+    out["s_lids"] = _lists(w.offsets, s_lid.take(w.members)).to_pandas()
+    out["s_ps"] = _lists(w.offsets, pa.array(s_p[w.members])).to_pandas()
+    out["kind"] = np.repeat(list(by_kind), [len(b) for b in by_kind.values()])
     return pd.DataFrame(out)
+
+
+def full_sweep(
+    frame: pd.DataFrame, r_facts: list[str], s_facts: list[str]
+) -> pd.DataFrame:
+    """The full outer join tuples of the complete groups in ``frame``.
+
+    ``frame`` holds rows of :func:`repro.core.windows.full_winit`: the
+    r groups (``side`` 0) give the left outer join ``r ⟕ s``, the s
+    groups (``side`` 1) the anti join ``s ▷ r``. One sweep covers both;
+    the s groups then drop their overlapping windows, take their facts
+    from the ``s_<c>`` columns of the positive tuple, and leave the
+    ``r_<c>`` columns null.
+    """
+    side = frame["side"].to_numpy()
+    by_kind = _windows(frame, True)
+    o = by_kind[KIND_OVERLAPPING]
+    keep = side[o.src] == 0  # the anti join keeps windows with negation
+    by_kind[KIND_OVERLAPPING] = _block(
+        head=o.head[keep],
+        ts=o.ts[keep],
+        te=o.te[keep],
+        src=o.src[keep],
+        offsets=np.arange(keep.sum() + 1),
+        members=o.src[keep],
+    )
+    w = _concat(list(by_kind.values()))
+    of_r = side[w.head] == 0
+    r_rows = np.where(of_r, w.head, -1)
+    s_rows = np.where(of_r, w.src, w.head)
+    facts = {f"r_{c}": _take(frame, f"r_{c}", r_rows) for c in r_facts}
+    facts.update({f"s_{c}": _take(frame, f"s_{c}", s_rows) for c in s_facts})
+    return _join_tuples(frame, by_kind, w, facts)

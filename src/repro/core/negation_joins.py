@@ -14,6 +14,13 @@ approach (paper Fig. 10a) is:
    LAWA_N and finalize over all groups of the frame at once, without
    materializing more than one batch plus one group.
 
+The full outer join keeps that shape with one join and one pass:
+``r ⟗_{θ ∧ overlap} s`` (:func:`repro.core.windows.full_winit`) gives
+every r group against s and every s group against r, tagged by
+``side``, and :func:`repro.core.columnar.full_sweep` runs the left join
+over the r groups and the anti join of s by r over the s groups — what
+Algorithm 3 line 18 computes with a second run on swapped arguments.
+
 The row-at-a-time generators :func:`repro.core.lawa_u.sweep_group`,
 :func:`repro.core.lawa_n.sweep_group` and :func:`_finalize` (one window
 to one output tuple) are the specification of that kernel: they follow
@@ -25,8 +32,8 @@ Entry points mirror the stages the paper benchmarks separately:
 - :func:`wuo` — unmatched + overlapping windows (paper Fig. 11);
 - :func:`all_windows` — adds negating windows (paper Fig. 12);
 - :func:`negation_join` — the TP join result for ``op`` in
-  ``{"anti", "left", "right", "full"}`` (paper Fig. 13), with right and
-  full composed from anti and left by :func:`compose`.
+  ``{"anti", "left", "right", "full"}`` (paper Fig. 13), with right
+  composed from left by :func:`compose`.
 
 Output schemas:
 
@@ -64,7 +71,7 @@ from ..tp.model import fact_columns
 from . import columnar, lawa_u
 from .stream import map_group_frames
 from .theta import Theta
-from .windows import winit
+from .windows import full_winit, winit
 
 OPS = ("anti", "left", "right", "full")
 
@@ -84,11 +91,14 @@ _TP_TYPES = {
 def _validate(r: DataFrame, s: DataFrame, op: str | None) -> None:
     """Raise ``ValueError`` for inputs that cannot make a valid plan.
 
-    Checks that both relations have ``lid``/``ts``/``te``/``p`` of the
-    right types, and that no fact column clashes with an output column
-    of ``op`` (None: the window DataFrames of :func:`wuo` and
-    :func:`all_windows`).
+    Checks that ``op`` is one of :data:`OPS`, that both relations have
+    ``lid``/``ts``/``te``/``p`` of the right types, and that no fact
+    column clashes with an output column of ``op`` (None: the window
+    DataFrames of :func:`wuo` and :func:`all_windows`). NJ and the TA
+    baseline share these checks.
     """
+    if op is not None and op not in OPS:
+        raise ValueError(f"op must be one of {OPS}, got {op!r}")
     for side, df in (("r", r), ("s", s)):
         types = {f.name: f.dataType for f in df.schema.fields}
         for c, (ok, want) in _TP_TYPES.items():
@@ -99,8 +109,10 @@ def _validate(r: DataFrame, s: DataFrame, op: str | None) -> None:
                     f"column {c!r} of {side} must be {want}, "
                     f"got {types[c].simpleString()}"
                 )
-    # anti output carries the positive side's facts unprefixed; the full
-    # join's second pass is the anti join of s by r
+    # anti output carries the positive side's facts unprefixed. TA's
+    # full join (compose) adds the anti join of s by r, which would clash
+    # on an s fact 'lineage'; NJ's one-pass full join would not, but both
+    # operators accept the same inputs.
     positive = {"anti": ("r", r), "full": ("s", s)}.get(op)
     if positive and "lineage" in fact_columns(positive[1]):
         raise ValueError(
@@ -211,23 +223,29 @@ def _run_sweeps(
     the columnar kernel in one :func:`map_group_frames` pass.
 
     When ``finalize_op`` is None, emits window rows; otherwise emits
-    finalized TP join output tuples for ``op`` in {"anti", "left"}
-    (right/full are composed from these by :func:`compose`).
+    finalized TP join output tuples for ``op`` in {"anti", "left",
+    "full"} (right is composed from left by :func:`compose`). The full
+    join sweeps the groups of both sides of one
+    :func:`repro.core.windows.full_winit` join.
     """
     r_facts, s_facts = fact_columns(r), fact_columns(s)
-    x = winit(r, s, theta)
+    if finalize_op == "full":
+        x = full_winit(r, s, theta)
+        kernel = partial(columnar.full_sweep, r_facts=r_facts, s_facts=s_facts)
+    else:
+        x = winit(r, s, theta)
+        kernel = partial(
+            columnar.sweep,
+            r_facts=r_facts,
+            s_facts=s_facts,
+            with_negating=with_negating,
+            op=finalize_op,
+        )
     if finalize_op is None:
         schema = _window_schema(x.schema, s_facts)
     else:
         schema = _join_schema(x.schema, r_facts, s_facts, finalize_op)
     facts = [f"r_{c}" for c in r_facts] + [f"s_{c}" for c in s_facts]
-    kernel = partial(
-        columnar.sweep,
-        r_facts=r_facts,
-        s_facts=s_facts,
-        with_negating=with_negating,
-        op=finalize_op,
-    )
     return map_group_frames(columnar.carry_integral_nulls(x, facts), kernel, schema)
 
 
@@ -253,17 +271,18 @@ def negation_join(r: DataFrame, s: DataFrame, theta: Theta, op: str) -> DataFram
     ``op``: ``"anti"`` (r ▷ s), ``"left"`` (r ⟕ s), ``"right"``
     (r ⟖ s) or ``"full"`` (r ⟗ s) — all with TP semantics: snapshot
     reducibility and change preservation (paper Section III).
-    Raises ``ValueError`` for a missing or mistyped ``lid``/``ts``/
-    ``te``/``p`` column or a fact column that clashes with an output
-    column.
+    Raises ``ValueError`` for an unknown ``op``, a missing or mistyped
+    ``lid``/``ts``/``te``/``p`` column or a fact column that clashes
+    with an output column.
     """
-    if op in OPS:
-        _validate(r, s, op)
+    _validate(r, s, op)
+    if op == "full":
+        return _sweep_join(r, s, theta, op)
     return compose(_sweep_join, r, s, theta, op)
 
 
 def _sweep_join(r: DataFrame, s: DataFrame, theta: Theta, op: str) -> DataFrame:
-    """NJ's anti or left join: one winit join, one sweep pass."""
+    """NJ's anti, left or full join: one θ∧overlap join, one sweep pass."""
     return _run_sweeps(r, s, theta, with_negating=True, finalize_op=op)
 
 
@@ -274,16 +293,16 @@ def compose(
     theta: Theta,
     op: str,
 ) -> DataFrame:
-    """The TP join ``op`` built from ``base``, which computes anti/left.
+    """The TP join ``op`` (validated by :func:`_validate`) built from
+    ``base``, which computes anti/left.
 
     Shared by NJ and the TA baseline. The right outer join is the left
     join of the swapped arguments with its sides renamed back; the full
     outer join adds to the left join the anti join of s by r —
     Algorithm 3 line 18 re-runs with swapped arguments and op = anti so
-    overlapping windows are not emitted twice.
+    overlapping windows are not emitted twice. NJ's full outer join
+    does not come here: it runs one θ∧overlap join and one sweep pass.
     """
-    if op not in OPS:
-        raise ValueError(f"op must be one of {OPS}, got {op!r}")
     if op in ("anti", "left"):
         return base(r, s, theta, op)
     r_facts, s_facts = fact_columns(r), fact_columns(s)

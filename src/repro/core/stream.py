@@ -98,10 +98,19 @@ def chunked(rows: list[dict], columns: list[str], size: int = 4096):
 
 def _by_group(x: DataFrame) -> DataFrame:
     """``x`` repartitioned by ``r_lid`` and each partition sorted by
-    ``(r_lid, o_ts, o_te, s_lid)``."""
-    return x.repartition("r_lid").sortWithinPartitions(
-        "r_lid", "o_ts", "o_te", "s_lid"
-    )
+    ``(r_lid, o_ts, o_te, s_lid)``.
+
+    The rows of NJ's full outer join (:func:`repro.core.windows.full_winit`)
+    also sort by ``side`` right after ``r_lid``, so that where an r tuple
+    and an s tuple share a lid, their two groups are contiguous runs.
+    ``r_lid`` stays the first key: Spark's sort compares a prefix of the
+    first key before whole rows, and a 0/1 ``side`` prefix would leave
+    nearly every comparison to the whole row.
+    """
+    keys = ["r_lid", "o_ts", "o_te", "s_lid"]
+    if "side" in x.columns:
+        keys.insert(1, "side")
+    return x.repartition("r_lid").sortWithinPartitions(*keys)
 
 
 def map_group_frames(

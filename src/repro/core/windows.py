@@ -15,6 +15,10 @@ plus ``s_lid``, ``s_p`` (the matched negative tuple, null when ``r``
 matched nothing), and the overlap interval ``[o_ts, o_te)`` — encoded
 with the sentinel ``-1`` when there is no match so the interval
 columns stay non-null int64 through Arrow.
+
+NJ's full outer join uses :func:`full_winit` instead: one
+``r ⟗_{θ ∧ θo} s`` whose rows feed both of its sweeps (r against s and
+s against r) in the same winit roles, tagged by ``side``.
 """
 from __future__ import annotations
 
@@ -41,6 +45,33 @@ def winit_columns(r_facts: list[str], s_facts: list[str]) -> list[str]:
     )
 
 
+def _overlap_join(r: DataFrame, s: DataFrame, theta: Theta, how: str) -> DataFrame:
+    """``r`` joined with ``s`` on θ ∧ overlap (``how``: "left" or
+    "full"), every column prefixed by its side."""
+    rr, ss = prefixed(r, "r_"), prefixed(s, "s_")
+    cond = (
+        theta.spark_condition(rr, ss, "r_", "s_")
+        & (rr["r_ts"] < ss["s_te"])
+        & (ss["s_ts"] < rr["r_te"])
+    )
+    return rr.join(ss, cond, how)
+
+
+def _overlap(matched) -> list:
+    """The ``o_ts``/``o_te`` columns of a joined row: the intersection
+    of the two intervals, or the sentinel when ``matched`` is false."""
+    return [
+        F.when(matched, F.greatest("r_ts", "s_ts"))
+        .otherwise(F.lit(NO_OVERLAP))
+        .cast("long")
+        .alias("o_ts"),
+        F.when(matched, F.least("r_te", "s_te"))
+        .otherwise(F.lit(NO_OVERLAP))
+        .cast("long")
+        .alias("o_te"),
+    ]
+
+
 def winit(r: DataFrame, s: DataFrame, theta: Theta) -> DataFrame:
     """``r ⟕_{θ ∧ θo} s`` — overlapping windows plus the unmatched
     windows of r tuples that overlap/match no s tuple at all.
@@ -50,14 +81,7 @@ def winit(r: DataFrame, s: DataFrame, theta: Theta) -> DataFrame:
     efficiency claim of the NJ approach).
     """
     r_facts, s_facts = fact_columns(r), fact_columns(s)
-    rr, ss = prefixed(r, "r_"), prefixed(s, "s_")
-    cond = (
-        theta.spark_condition(rr, ss, "r_", "s_")
-        & (rr["r_ts"] < ss["s_te"])
-        & (ss["s_ts"] < rr["r_te"])
-    )
-    joined = rr.join(ss, cond, "left")
-    matched = joined["s_lid"].isNotNull()
+    joined = _overlap_join(r, s, theta, "left")
     return joined.select(
         *[joined[f"r_{c}"] for c in r_facts],
         "r_lid",
@@ -67,12 +91,44 @@ def winit(r: DataFrame, s: DataFrame, theta: Theta) -> DataFrame:
         *[joined[f"s_{c}"] for c in s_facts],
         "s_lid",
         "s_p",
-        F.when(matched, F.greatest("r_ts", "s_ts"))
-        .otherwise(F.lit(NO_OVERLAP))
-        .cast("long")
-        .alias("o_ts"),
-        F.when(matched, F.least("r_te", "s_te"))
-        .otherwise(F.lit(NO_OVERLAP))
-        .cast("long")
-        .alias("o_te"),
+        *_overlap(joined["s_lid"].isNotNull()),
+    )
+
+
+def full_winit(r: DataFrame, s: DataFrame, theta: Theta) -> DataFrame:
+    """``r ⟗_{θ ∧ θo} s`` as the winit rows of both halves of the full
+    outer join: r's groups against s, and s's groups against r.
+
+    One Catalyst join, then one row per side a joined row holds, tagged
+    ``side``: 0 for the r group (r positive, s negative), 1 for the s
+    group (s positive, r negative). A matched pair yields both rows; an
+    unmatched r or s tuple one row with the ``NO_OVERLAP`` sentinel.
+    ``r_lid``/``r_p``/``r_ts``/``r_te`` hold the positive tuple and
+    ``s_lid``/``s_p`` the negative one, as in :func:`winit`; the fact
+    columns stay ``r_<c>``/``s_<c>`` on both sides.
+    """
+    r_facts, s_facts = fact_columns(r), fact_columns(s)
+    joined = _overlap_join(r, s, theta, "full")
+    has_r, has_s = joined["r_lid"].isNotNull(), joined["s_lid"].isNotNull()
+    side = F.explode(
+        F.array_compact(F.array(F.when(has_r, F.lit(0)), F.when(has_s, F.lit(1))))
+    )
+    x = joined.select("*", *_overlap(has_r & has_s), side.alias("side"))
+    r_positive = F.col("side") == 0
+
+    def positive(c: str):
+        return F.when(r_positive, F.col(f"r_{c}")).otherwise(F.col(f"s_{c}"))
+
+    def negative(c: str):
+        return F.when(r_positive, F.col(f"s_{c}")).otherwise(F.col(f"r_{c}"))
+
+    return x.select(
+        "side",
+        *[f"r_{c}" for c in r_facts],
+        *[positive(c).alias(f"r_{c}") for c in ("lid", "p", "ts", "te")],
+        *[f"s_{c}" for c in s_facts],
+        negative("lid").alias("s_lid"),
+        negative("p").alias("s_p"),
+        "o_ts",
+        "o_te",
     )

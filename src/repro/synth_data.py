@@ -106,11 +106,16 @@ def meteo_lite_pdf(n: int, *, seed: int = 0, lid_prefix: str = "a",
 
 
 def random_tp_pdf(n: int, *, n_facts: int = 3, t_max: int = 30,
-                  seed: int = 0, lid_prefix: str = "a") -> pd.DataFrame:
+                  seed: int = 0, lid_prefix: str = "a",
+                  null_frac: float = 0.0) -> pd.DataFrame:
     """Small random TP relation for property tests (single fact column).
 
     Per-fact chains with random gaps, so intervals may be adjacent,
-    disjoint, or absent — duplicate-free by construction.
+    disjoint, or absent — duplicate-free by construction. With
+    ``null_frac`` > 0, about that share of the ``k`` values is null (a
+    θ key that matches nothing, so null-keyed tuples may overlap); the
+    other columns, and all columns at the default 0, are the same as
+    without it.
     """
     g = _rng(seed)
     fact = g.integers(0, n_facts, n)
@@ -126,6 +131,8 @@ def random_tp_pdf(n: int, *, n_facts: int = 3, t_max: int = 30,
     pdf["k"] = "k" + pdf["k"].astype(str)
     pdf["lid"] = [f"{lid_prefix}{i}" for i in range(len(pdf))]
     pdf["p"] = (0.05 + 0.9 * g.random(len(pdf))).round(4)
+    if null_frac:
+        pdf["k"] = pdf["k"].where(g.random(len(pdf)) >= null_frac, None)
     return pdf[["k", "lid", "ts", "te", "p"]]
 
 

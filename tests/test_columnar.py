@@ -1,11 +1,13 @@
 """The columnar sweep kernel against the row-at-a-time specification.
 
-The property test runs without Spark: random winit frames, cut into
+The property tests run without Spark: random winit frames, cut into
 batches at arbitrary rows, go through the kernel
 (``stream.group_frames`` → ``columnar.sweep``) and through the spec
 (``stream.iter_groups`` → ``lawa_u.sweep_group`` →
 ``lawa_n.sweep_group`` → ``negation_joins._finalize`` or the window
-record), for all four outputs. The Spark test makes groups span Arrow
+record), for all four outputs; the full outer join's rows go through
+``columnar.full_sweep`` and through the left spec on the r groups and
+the anti spec on the s groups. The Spark test makes groups span Arrow
 batches inside the real ``mapInPandas`` pass.
 """
 import math
@@ -104,12 +106,9 @@ def assert_same_rows(got: list[dict], want: list[dict]) -> None:
 # random winit frames
 # ---------------------------------------------------------------------------
 
-@st.composite
-def winit_batches(draw):
-    """A sorted winit frame as the spec sees it and as the kernel sees
-    it (integral facts null-free plus null flags), cut into the same
-    batches at arbitrary rows."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+def group_records(draw, rng, lid_prefix: str) -> list[dict]:
+    """winit records of random r-tuple groups, positive facts under
+    ``r_<c>`` and negative ones under ``s_<c>``."""
     sizes = draw(
         st.lists(
             st.one_of(st.just(0), st.integers(1, 6), st.integers(100, 300)),
@@ -134,7 +133,7 @@ def winit_batches(draw):
         r_ts = int(rng.integers(0, 20))
         r_te = r_ts + int(rng.integers(1, span + 1))
         r = dict(zip(["r_name", "r_k"], fact()))
-        r.update(r_lid=f"a{g}", r_p=prob(), r_ts=r_ts, r_te=r_te)
+        r.update(r_lid=f"{lid_prefix}{g}", r_p=prob(), r_ts=r_ts, r_te=r_te)
         if size == 0:
             recs.append({**r, "s_name": None, "s_k": None, "s_lid": None,
                          "s_p": None, "o_ts": NO_OVERLAP, "o_te": NO_OVERLAP})
@@ -144,13 +143,25 @@ def winit_batches(draw):
             o_te = int(rng.integers(o_ts + 1, r_te + 1))
             recs.append({**r, **dict(zip(["s_name", "s_k"], fact())),
                          "s_lid": f"b{lid}", "s_p": prob(), "o_ts": o_ts, "o_te": o_te})
-    spec = pd.DataFrame(recs, dtype=object).sort_values(
-        ["r_lid", "o_ts", "o_te", "s_lid"], na_position="first", ignore_index=True
+    return recs
+
+
+def as_frame(recs: list[dict], by: list[str]) -> pd.DataFrame:
+    """Records as a winit frame sorted by ``by``, typed as Spark hands
+    it to pandas."""
+    frame = pd.DataFrame(recs, dtype=object).sort_values(
+        by, na_position="first", ignore_index=True
     )
     for c in ("r_p", "s_p"):
-        spec[c] = spec[c].astype(float)
+        frame[c] = frame[c].astype(float)
     for c in ("r_ts", "r_te", "o_ts", "o_te"):
-        spec[c] = spec[c].astype("int64")
+        frame[c] = frame[c].astype("int64")
+    return frame
+
+
+def cut(draw, spec: pd.DataFrame):
+    """``spec`` and its kernel input (integral facts null-free plus null
+    flags), cut into the same batches at arbitrary rows."""
     kernel = spec.copy()
     for c in INTEGRAL:
         kernel[columnar.null_flag(c)] = spec[c].isna().to_numpy()
@@ -163,6 +174,17 @@ def winit_batches(draw):
     )
 
 
+WINIT_ORDER = ["r_lid", "o_ts", "o_te", "s_lid"]
+
+
+@st.composite
+def winit_batches(draw):
+    """A sorted winit frame as the spec sees it and as the kernel sees
+    it, cut into the same batches at arbitrary rows."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return cut(draw, as_frame(group_records(draw, rng, "a"), WINIT_ORDER))
+
+
 @pytest.mark.parametrize("with_negating, op", OUTPUTS)
 @settings(max_examples=40, deadline=None)
 @given(batches=winit_batches())
@@ -172,6 +194,52 @@ def test_kernel_matches_spec(batches, with_negating, op):
         kernel_rows(kernel_batches, R_FACTS, S_FACTS, with_negating, op),
         spec_rows(spec_batches, R_FACTS, S_FACTS, with_negating, op),
     )
+
+
+FACT_SWAP = {  # r_<c> <-> s_<c>
+    f"{a}_{c}": f"{b}_{c}" for a, b in (("r", "s"), ("s", "r")) for c in R_FACTS
+}
+
+
+@st.composite
+def full_batches(draw):
+    """Sorted full-join rows (``windows.full_winit``) cut into batches,
+    plus the spec's inputs: the side-0 rows and the side-1 rows with
+    the positive facts under ``r_<c>``.
+
+    Side-1 lids may repeat side-0 lids, which puts an r group and an s
+    group under one ``r_lid``."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    r_groups = group_records(draw, rng, "a")
+    s_groups = group_records(draw, rng, draw(st.sampled_from(["a", "c"])))
+    rows = [{"side": 0, **rec} for rec in r_groups] + [
+        {"side": 1, **{FACT_SWAP.get(c, c): v for c, v in rec.items()}}
+        for rec in s_groups
+    ]
+    frame = as_frame(rows, ["r_lid", "side", "o_ts", "o_te", "s_lid"])
+    frame["side"] = frame["side"].astype("int32")
+    spec_left = as_frame(r_groups, WINIT_ORDER)
+    spec_anti = as_frame(s_groups, WINIT_ORDER)
+    return cut(draw, frame)[1], spec_left, spec_anti
+
+
+@settings(max_examples=40, deadline=None)
+@given(batches=full_batches())
+def test_full_kernel_matches_left_and_anti_spec(batches):
+    """full_sweep ≡ the left spec over the r groups ∪ the anti spec over
+    the s groups, whose positive facts land in ``s_<c>``."""
+    kernel_batches, spec_left, spec_anti = batches
+    got = []
+    for frame in group_frames(iter(kernel_batches), "r_lid"):
+        got += columnar.full_sweep(frame, R_FACTS, S_FACTS).to_dict("records")
+    want = spec_rows([spec_left], R_FACTS, S_FACTS, True, "left")
+    for rec in spec_rows([spec_anti], S_FACTS, R_FACTS, True, "anti"):
+        want.append({
+            **{f"r_{c}": None for c in R_FACTS},
+            **{f"s_{c}": rec.pop(c) for c in S_FACTS},
+            **rec,
+        })
+    assert_same_rows(got, want)
 
 
 def test_paper_group_fig9():

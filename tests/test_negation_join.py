@@ -1,6 +1,7 @@
 """End-to-end tests for the NJ operator: golden paper results, the
 snapshot reference, invariants, and the DuckDB probability oracle."""
 import re
+from functools import partial
 
 import pandas as pd
 import pytest
@@ -94,23 +95,34 @@ class TestPaperGolden:
             negation_join(a, b, THETA, "inner")
 
 
-@pytest.mark.parametrize("op, passes", [("anti", 1), ("left", 1), ("right", 1), ("full", 2)])
-def test_plan_has_one_join_per_sweep_pass(ab, op, passes):
-    """Each sweep pass costs exactly one θ∧overlap join and one shuffle
-    by r_lid (paper Fig. 10a); the full join makes two passes."""
-    a, b = ab
-    plan = negation_join(a, b, THETA, op)._jdf.queryExecution().executedPlan()
-    nodes = [
+def plan_nodes(df) -> list[list[str]]:
+    """``[name, rest of the line]`` per node of the executed plan."""
+    plan = df._jdf.queryExecution().executedPlan()
+    return [
         re.sub(r"^[\s:|+-]*(\*\(\d+\)\s*)?", "", line).split(" ", 1)
         for line in plan.toString().splitlines()
     ]
+
+
+def joins(nodes) -> list[list[str]]:
+    return [n for n in nodes if n[0].endswith("Join") or n[0] == "CartesianProduct"]
+
+
+@pytest.mark.parametrize("op, passes", [("anti", 1), ("left", 1), ("right", 1), ("full", 1)])
+def test_plan_has_one_join_per_sweep_pass(ab, op, passes):
+    """Each sweep pass costs exactly one θ∧overlap join and one shuffle
+    by r_lid (paper Fig. 10a). Every op makes one pass: the full join
+    sweeps both sides of one r ⟗ s join, with no union."""
+    a, b = ab
+    nodes = plan_nodes(negation_join(a, b, THETA, op))
     names = [n[0] for n in nodes]
-    assert sum(n.endswith("Join") or n == "CartesianProduct" for n in names) == passes
+    assert len(joins(nodes)) == passes
     assert names.count("MapInPandas") == passes
     assert sum(
         n[0] == "Exchange" and n[1].startswith("hashpartitioning(r_lid#")
         for n in nodes
     ) == passes
+    assert "Union" not in names
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -125,6 +137,70 @@ def test_matches_snapshot_reference(spark, seed, op):
     ))
     ref = reference_negation_join(r_pdf, s_pdf, theta, op)
     assert got == rows(ref)
+
+
+@pytest.mark.parametrize("op", ["anti", "left", "right", "full"])
+def test_matches_snapshot_reference_with_null_keys(spark, op):
+    """NJ ≡ the reference when some θ keys of both sides are null."""
+    r_pdf = random_tp_pdf(9, t_max=25, seed=7, lid_prefix="a", null_frac=0.3)
+    s_pdf = random_tp_pdf(9, t_max=25, seed=8, lid_prefix="b", null_frac=0.3)
+    assert r_pdf["k"].isna().any() and s_pdf["k"].isna().any()
+    schema = "k string, lid string, ts long, te long, p double"
+    theta = Theta.equi("k")
+    got = rows(negation_join(
+        spark.createDataFrame(r_pdf, schema), spark.createDataFrame(s_pdf, schema),
+        theta, op,
+    ))
+    assert got == rows(reference_negation_join(r_pdf, s_pdf, theta, op))
+
+
+FULL_SHAPES = {  # id: (θ, r lid prefix, s lid prefix, r rows, s rows, join node)
+    "equi-theta": (Theta.equi("k"), "a", "b", 7, 7, "SortMergeJoin"),
+    "no-theta": (Theta.of(), "a", "b", 7, 7, "BroadcastNestedLoopJoin"),
+    "less-than-theta": (Theta.of(("k", "<", "k")), "a", "b", 7, 7, "BroadcastNestedLoopJoin"),
+    "not-equal-theta": (Theta.of(("k", "!=", "k")), "a", "b", 7, 7, "BroadcastNestedLoopJoin"),
+    "empty-r": (Theta.equi("k"), "a", "b", 0, 7, "SortMergeJoin"),
+    "empty-s": (Theta.equi("k"), "a", "b", 7, 0, "SortMergeJoin"),
+    "both-empty": (Theta.equi("k"), "a", "b", 0, 0, "SortMergeJoin"),
+    "shared-lids": (Theta.equi("k"), "a", "a", 7, 7, "SortMergeJoin"),
+}
+
+
+@pytest.mark.parametrize("case", FULL_SHAPES.values(), ids=FULL_SHAPES.keys())
+def test_full_join_shapes(spark, case):
+    """NJ's full outer join ≡ the reference ≡ TA for θ with and without
+    an equality term, empty inputs, and r and s tuples that share lids
+    (an r group and an s group under one ``r_lid``). The plan holds one
+    full outer join: a sort-merge join with an equality term in θ, a
+    nested-loop join without one."""
+    theta, r_prefix, s_prefix, n_r, n_s, join = case
+    r_pdf = random_tp_pdf(7, t_max=25, seed=3, lid_prefix=r_prefix).iloc[:n_r]
+    s_pdf = random_tp_pdf(7, t_max=25, seed=4, lid_prefix=s_prefix).iloc[:n_s]
+    schema = "k string, lid string, ts long, te long, p double"
+    r = spark.createDataFrame(r_pdf, schema)
+    s = spark.createDataFrame(s_pdf, schema)
+    nj = negation_join(r, s, theta, "full")
+    [(name, rest)] = joins(plan_nodes(nj))
+    assert name == join and "FullOuter" in rest
+    ref = rows(reference_negation_join(r_pdf, s_pdf, theta, "full"))
+    assert rows(nj) == ref
+    assert rows(ta_negation_join(r, s, theta, "full")) == ref
+
+
+def test_full_join_shared_lid_groups_interleave(spark):
+    """r's a1 against s and s's a1 against r share ``r_lid`` = a1 and
+    their overlaps interleave in time (o_ts 0, 3, 8 and 3, 4); the full
+    join still sweeps them as two groups."""
+    r_pdf = tp_pdf([("x", "a1", 0, 10, 0.5), ("x", "a2", 4, 6, 0.6)], ["k"])
+    s_pdf = tp_pdf(
+        [("x", "a1", 3, 8, 0.4), ("x", "b1", 0, 2, 0.7), ("x", "b2", 8, 10, 0.8)],
+        ["k"],
+    )
+    theta = Theta.equi("k")
+    got = negation_join(
+        spark.createDataFrame(r_pdf), spark.createDataFrame(s_pdf), theta, "full"
+    )
+    assert rows(got) == rows(reference_negation_join(r_pdf, s_pdf, theta, "full"))
 
 
 @pytest.mark.parametrize("kind, n", [("webkit", 60), ("meteo", 60)])
@@ -165,23 +241,24 @@ BAD_INPUTS = {  # id: (call, r schema, s schema, the column the error names)
     "ts-string": ("anti", OK, "k string, lid string, ts string, te long, p double", "'ts'"),
     "te-double": ("right", "k string, lid string, ts long, te double, p double", OK, "'te'"),
     "p-string": ("all", OK, "k string, lid string, ts long, te long, p string", "'p'"),
+    "unknown-op": ("inner", OK, OK, "op must be one of"),
 }
 
 
 @pytest.mark.parametrize("case", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
 def test_rejects_bad_input_when_called(spark, case):
     """Bad schemas fail at the call with the column named, not inside a
-    Python worker at action time."""
+    Python worker at action time — in NJ and in the TA baseline."""
     call, r_schema, s_schema, column = case
     r = spark.createDataFrame([], r_schema)
     s = spark.createDataFrame([], s_schema)
     theta = Theta.equi("k")
-    run = {"wuo": wuo, "all": all_windows}.get(call)
-    with pytest.raises(ValueError, match=column):
-        if run:
+    runs = {"wuo": [wuo], "all": [all_windows]}.get(call) or [
+        partial(join, op=call) for join in (negation_join, ta_negation_join)
+    ]
+    for run in runs:
+        with pytest.raises(ValueError, match=column):
             run(r, s, theta)
-        else:
-            negation_join(r, s, theta, call)
 
 
 @pytest.mark.parametrize("op", ["left", "right", "full"])

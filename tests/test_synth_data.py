@@ -79,6 +79,14 @@ class TestRandomTp:
         pdf = random_tp_pdf(5, seed=0, lid_prefix="zz")
         assert pdf["lid"].str.startswith("zz").all()
 
+    def test_null_frac_nulls_only_keys(self):
+        base = random_tp_pdf(200, seed=4)
+        nulled = random_tp_pdf(200, seed=4, null_frac=0.3)
+        assert 0.2 < nulled["k"].isna().mean() < 0.4
+        assert nulled.drop(columns="k").equals(base.drop(columns="k"))
+        kept = nulled["k"].notna()
+        assert nulled["k"][kept].equals(base["k"][kept])
+
 
 class TestWorkloadPairs:
     @pytest.mark.parametrize("kind", ["webkit", "meteo"])
