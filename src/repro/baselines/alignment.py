@@ -25,29 +25,31 @@ Cost structure faithfully reproduced from the paper: every Φ/N node is
 itself "based on a conventional left-outer join" at winit scale, so TA
 executes the expensive θ∧overlap join two to four times plus extra
 fragment joins and a dedup union, whereas NJ executes it exactly once.
-Each operator's splitting step runs after the same repartition and
-sort as the NJ sweeps, one group at a time in Python
-(:func:`repro.core.stream.map_groups`), and the right and full outer
-joins are composed from TA's anti and left joins by
+Each operator's splitting step runs in the same pass as the NJ sweeps
+(:func:`repro.core.stream.map_group_frames`): frames of whole r-tuple
+groups, which TA splits one group at a time in plain Python
+(:func:`_fragments`), sharing no window code with NJ's columnar kernel
+— only its null-flag codec for integral facts. The right and full
+outer joins are composed from TA's anti and left joins by
 :func:`repro.core.negation_joins.compose`, which also builds NJ's right
 outer join; NJ's full outer join makes one θ∧overlap join instead of
-TA's left and anti joins. NJ's sweeps run as
-a columnar kernel over whole batches of groups while TA's splits stay
-row-at-a-time, so a comparison measures that difference on top of the
-*plan shape*.
+TA's left and anti joins. NJ's sweeps run as one columnar kernel per
+frame while TA's splits loop over groups, so a comparison measures that
+difference on top of the *plan shape*.
 """
 from __future__ import annotations
 
-from typing import Iterator
-
+import numpy as np
+import pandas as pd
 from pyspark.sql import DataFrame, functions as F
 from pyspark.sql.types import LongType, StructField, StructType
 
+from ..core import columnar
 from ..core.lawa_u import KIND_NEGATING, KIND_OVERLAPPING, KIND_UNMATCHED
-from ..core.negation_joins import _validate, compose
-from ..core.stream import map_groups
+from ..core.negation_joins import _checked, compose
+from ..core.stream import map_group_frames
 from ..core.theta import Theta
-from ..core.windows import NO_OVERLAP, winit
+from ..core.windows import winit
 from ..tp.model import fact_columns
 
 # ---------------------------------------------------------------------------
@@ -70,59 +72,67 @@ def _fragment_schema(tp_df: DataFrame) -> StructType:
     return StructType(fields)
 
 
+def _fragments(
+    r_ts: int, r_te: int, o_ts: list[int], o_te: list[int], mode: str
+) -> list[tuple[int, int]]:
+    """The fragments ``(f_ts, f_te)`` of the tuple ``[r_ts, r_te)``
+    whose matches overlap it on ``[o_ts[i], o_te[i])`` (none: one
+    fragment, the whole interval).
+
+    ``mode``: ``"align"`` gives the distinct per-match intersections
+    plus the uncovered gaps; ``"normalize"`` the elementary fragments
+    between all boundary points of the matches.
+    """
+    if mode == "normalize":
+        points = sorted({r_ts, r_te, *o_ts, *o_te})
+        return list(zip(points, points[1:]))
+    frags = []
+    cursor = r_ts
+    for ts, te in sorted(zip(o_ts, o_te)):
+        if cursor < ts:
+            frags.append((cursor, ts))
+            cursor = ts
+        frags.append((ts, te))
+        cursor = max(cursor, te)
+    if cursor < r_te:
+        frags.append((cursor, r_te))
+    return list(dict.fromkeys(frags))
+
+
 def _fragment_pass(
     target: DataFrame, ref: DataFrame, theta: Theta, mode: str
 ) -> DataFrame:
-    """Shared driver of Φ and N: one winit-scale join + a group split.
+    """Shared driver of Φ and N: one winit-scale join, then
+    :func:`_fragments` for every group of the target's tuples."""
+    facts = [f"r_{c}" for c in fact_columns(target)]
+    x = winit(target, ref, theta).select(
+        *facts, "r_lid", "r_p", "r_ts", "r_te", "s_lid", "o_ts", "o_te"
+    )
 
-    ``mode``: ``"align"`` emits per-match intersections plus uncovered
-    gaps (distinct intervals per tuple); ``"normalize"`` emits the
-    elementary fragments between all boundary points of the matching
-    ref tuples.
-    """
-    facts = fact_columns(target)
+    def split(frame: pd.DataFrame) -> pd.DataFrame:
+        lid = frame["r_lid"].to_numpy()
+        r_ts, r_te = frame["r_ts"].tolist(), frame["r_te"].tolist()
+        o_ts, o_te = frame["o_ts"].tolist(), frame["o_te"].tolist()
+        matched = frame["s_lid"].notna().tolist()
+        first = np.flatnonzero(np.append(True, lid[1:] != lid[:-1])).tolist()
+        head, f_ts, f_te = [], [], []
+        for a, b in zip(first, first[1:] + [len(frame)]):
+            b = b if matched[a] else a  # a null-match row: no matches
+            for ts, te in _fragments(r_ts[a], r_te[a], o_ts[a:b], o_te[a:b], mode):
+                head.append(a)
+                f_ts.append(ts)
+                f_te.append(te)
+        head = np.array(head, np.int64)
+        out = {c[2:]: columnar.take(frame, c, head) for c in facts}
+        for c, col in (("lid", "r_lid"), ("p", "r_p"),
+                       ("orig_ts", "r_ts"), ("orig_te", "r_te")):
+            out[c] = frame[col].to_numpy()[head]
+        out["f_ts"], out["f_te"] = f_ts, f_te
+        return pd.DataFrame(out)
 
-    def split(group: list[dict]) -> Iterator[dict]:
-        head = group[0]
-        r_ts, r_te = head["r_ts"], head["r_te"]
-        if len(group) == 1 and head["o_ts"] == NO_OVERLAP:
-            frags = [(r_ts, r_te)]
-        elif mode == "align":
-            group.sort(key=lambda m: (m["o_ts"], m["o_te"]))
-            frags_set = set()
-            order: list[tuple[int, int]] = []
-            cursor = r_ts
-            for m in group:
-                if cursor < m["o_ts"]:
-                    frag = (cursor, m["o_ts"])
-                    if frag not in frags_set:
-                        frags_set.add(frag)
-                        order.append(frag)
-                    cursor = m["o_ts"]
-                frag = (m["o_ts"], m["o_te"])
-                if frag not in frags_set:
-                    frags_set.add(frag)
-                    order.append(frag)
-                cursor = max(cursor, m["o_te"])
-            if cursor < r_te:
-                order.append((cursor, r_te))
-            frags = order
-        else:  # normalize: elementary fragments of the boundary set
-            points = {r_ts, r_te}
-            for m in group:
-                points.add(m["o_ts"])
-                points.add(m["o_te"])
-            sorted_points = sorted(points)
-            frags = list(zip(sorted_points, sorted_points[1:]))
-        base = {c: head[f"r_{c}"] for c in facts}
-        base["lid"] = head["r_lid"]
-        base["p"] = head["r_p"]
-        base["orig_ts"] = r_ts
-        base["orig_te"] = r_te
-        for f_ts, f_te in frags:
-            yield {**base, "f_ts": f_ts, "f_te": f_te}
-
-    return map_groups(winit(target, ref, theta), split, _fragment_schema(target))
+    return map_group_frames(
+        columnar.carry_integral_nulls(x, facts), split, _fragment_schema(target)
+    )
 
 
 def align(r: DataFrame, s: DataFrame, theta: Theta) -> DataFrame:
@@ -353,9 +363,9 @@ def ta_negation_join(r: DataFrame, s: DataFrame, theta: Theta, op: str) -> DataF
     """The TP join with negation, computed by the TA baseline.
 
     Accepts the inputs :func:`repro.core.negation_joins.negation_join`
-    accepts and raises the same ``ValueError`` for the others.
+    accepts and raises the same errors for the others.
     """
-    _validate(r, s, op)
+    r, s = _checked(r, s, op)
     return compose(_ta_join, r, s, theta, op)
 
 

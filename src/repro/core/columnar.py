@@ -14,8 +14,9 @@ generators are the specification: :func:`repro.core.lawa_u.sweep_group`,
 - **LAWA_U.** The rows of a group arrive sorted by ``o_ts``. The gap
   before a row is ``[max(r_ts, running max of o_te over the earlier
   rows of its group), o_ts)`` when that is non-empty; the trailing gap
-  ends at ``r_te``; a null-match row is one unmatched window over the
-  whole r interval. Every matched row is an overlapping window.
+  ends at ``r_te``; a null-match row (null ``s_lid``) is one unmatched
+  window over the whole r interval. Every matched row is an
+  overlapping window.
 - **LAWA_N.** A group's distinct event points (``o_ts ∪ o_te``) cut
   its r interval into elementary intervals. A row covers a contiguous
   run of them, so ``np.repeat`` expands rows into ``(interval, s row)``
@@ -50,7 +51,6 @@ from pyspark.sql import DataFrame, functions as F
 from pyspark.sql.types import IntegralType
 
 from .lawa_u import KIND_NEGATING, KIND_OVERLAPPING, KIND_UNMATCHED
-from .windows import NO_OVERLAP
 
 
 def null_flag(column: str) -> str:
@@ -145,7 +145,7 @@ def _windows(frame: pd.DataFrame, with_negating: bool) -> dict[str, Block]:
     r_te = frame["r_te"].to_numpy(np.int64)
     o_ts = frame["o_ts"].to_numpy(np.int64)
     o_te = frame["o_te"].to_numpy(np.int64)
-    null = o_ts == NO_OVERLAP
+    null = frame["s_lid"].isna().to_numpy()
     if (null & (first != last)[group]).any():
         raise ValueError("null-match winit row mixed with real matches in one group")
     matched = ~null
@@ -251,8 +251,12 @@ def _concat(blocks: list[Block]) -> Block:
     )
 
 
-def _take(frame: pd.DataFrame, column: str, rows: np.ndarray):
-    """``frame[column]`` at ``rows`` as a pandas array; row -1 is null."""
+def take(frame: pd.DataFrame, column: str, rows: np.ndarray):
+    """``frame[column]`` at ``rows`` as a pandas array; row -1 is null.
+
+    An integral column carried by :func:`carry_integral_nulls` comes
+    back as a nullable ``IntegerArray`` with its nulls restored.
+    """
     flag = null_flag(column)
     if flag in frame.columns:
         at = np.maximum(rows, 0)
@@ -335,14 +339,14 @@ def sweep(
     w = _concat(list(by_kind.values()))
     out: dict[str, object] = {}
     for c in r_facts:
-        out[c if op == "anti" else f"r_{c}"] = _take(frame, f"r_{c}", w.head)
+        out[c if op == "anti" else f"r_{c}"] = take(frame, f"r_{c}", w.head)
     if op is None:
         out["r_lid"] = frame["r_lid"].to_numpy()[w.head]
         out["r_p"] = frame["r_p"].to_numpy(np.float64)[w.head]
         out["w_ts"], out["w_te"] = w.ts, w.te
     if op != "anti":
         for c in s_facts:
-            out[f"s_{c}"] = _take(frame, f"s_{c}", w.src)
+            out[f"s_{c}"] = take(frame, f"s_{c}", w.src)
     if op is not None:
         return _join_tuples(frame, by_kind, w, out)
     s_p = frame["s_p"].to_numpy(np.float64)
@@ -381,6 +385,6 @@ def full_sweep(
     of_r = side[w.head] == 0
     r_rows = np.where(of_r, w.head, -1)
     s_rows = np.where(of_r, w.src, w.head)
-    facts = {f"r_{c}": _take(frame, f"r_{c}", r_rows) for c in r_facts}
-    facts.update({f"s_{c}": _take(frame, f"s_{c}", s_rows) for c in s_facts})
+    facts = {f"r_{c}": take(frame, f"r_{c}", r_rows) for c in r_facts}
+    facts.update({f"s_{c}": take(frame, f"s_{c}", s_rows) for c in s_facts})
     return _join_tuples(frame, by_kind, w, facts)

@@ -22,8 +22,9 @@ playing the role of ``prevWindTe``/``windTs``:
   Case 2 on the following iteration here.
 - Case 4 (cursor at an overlap end, group exhausted): trailing gap
   ``[cursor, r_te)``.
-- Case 5 (null-match row from the conventional left join): the whole
-  r interval is one unmatched window.
+- Case 5 (null-match row from the conventional left join, the one row
+  whose ``s_lid`` is null): the whole r interval is one unmatched
+  window.
 
 Windows are plain dicts ``{w_ts, w_te, kind, s_row, s_lids, s_ps}``
 with ``kind`` in ``{"U", "O"}``; the caller supplies the r-side
@@ -36,8 +37,6 @@ with it.
 from __future__ import annotations
 
 from typing import Iterator
-
-from .windows import NO_OVERLAP
 
 KIND_UNMATCHED = "U"
 KIND_OVERLAPPING = "O"
@@ -60,17 +59,18 @@ def sweep_group(r_ts: int, r_te: int, matches: list[dict]) -> Iterator[dict]:
 
     ``matches`` are the winit rows of the group sorted by ``o_ts``
     (ties broken arbitrarily — paper: "the order of tuples with equal
-    starting points does not matter"). A single row with
-    ``o_ts == NO_OVERLAP`` denotes the null-extended row of the
-    conventional left join (r matched nothing).
+    starting points does not matter"). A single row with a null
+    ``s_lid`` denotes the null-extended row of the conventional left
+    join (r matched nothing); its ``o_ts``/``o_te`` are a filler, and
+    a real overlap may start at any time point, negative ones too.
     """
-    if len(matches) == 1 and matches[0]["o_ts"] == NO_OVERLAP:
+    if len(matches) == 1 and matches[0]["s_lid"] is None:
         yield _unmatched(r_ts, r_te)  # Case 5
         return
     cursor = r_ts
     for m in matches:
         o_ts, o_te = m["o_ts"], m["o_te"]
-        if o_ts == NO_OVERLAP:
+        if m["s_lid"] is None:
             raise ValueError(
                 "null-match winit row mixed with real matches in one group"
             )

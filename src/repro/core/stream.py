@@ -2,27 +2,23 @@
 
 The LAWA sweeps (and the TA baseline's align/normalize) process the
 winit join result by r-tuple group, in sorted order, with state bounded
-by one group (TA) or one Arrow batch plus one group (NJ) — the paper's
-pipelined executor model. Spark's ``mapInPandas`` hands each partition to Python as an
+by one Arrow batch plus one group — the paper's pipelined executor
+model. Spark's ``mapInPandas`` hands each partition to Python as an
 iterator of Arrow-sized pandas batches; a group never spans partitions
 (we repartition by the group key first) but can span batches.
-:func:`_by_group` is the one place that distributes a winit DataFrame
-for such a pass, and two passes use it:
+:func:`map_group_frames` is the one pass that distributes a winit
+DataFrame this way: :func:`group_frames` cuts the batch stream into
+frames of complete groups, and a frame → frame function (NJ's columnar
+kernel :func:`repro.core.columnar.sweep`, TA's align/normalize split)
+turns each frame into one output frame.
 
-- :func:`map_group_frames` (NJ): :func:`group_frames` cuts the batch
-  stream into frames of complete groups, and a columnar kernel
-  (:func:`repro.core.columnar.sweep`) turns each frame into one output
-  frame;
-- :func:`map_groups` (TA): :func:`iter_groups` re-chunks the batch
-  stream into one list of records per group, and :func:`chunked`
-  renders the output rows.
-
-:func:`iter_groups` and :func:`chunked` are also the row-at-a-time
-specification that NJ's kernel is tested against.
+:func:`iter_groups` and :func:`chunked` are the row-at-a-time
+specification that NJ's kernel is tested against: one list of records
+per group in, output rows rendered as bounded frames out.
 """
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 import pandas as pd
@@ -96,29 +92,25 @@ def chunked(rows: list[dict], columns: list[str], size: int = 4096):
         yield pd.DataFrame(chunk, columns=columns)
 
 
-def _by_group(x: DataFrame) -> DataFrame:
-    """``x`` repartitioned by ``r_lid`` and each partition sorted by
-    ``(r_lid, o_ts, o_te, s_lid)``.
-
-    The rows of NJ's full outer join (:func:`repro.core.windows.full_winit`)
-    also sort by ``side`` right after ``r_lid``, so that where an r tuple
-    and an s tuple share a lid, their two groups are contiguous runs.
-    ``r_lid`` stays the first key: Spark's sort compares a prefix of the
-    first key before whole rows, and a 0/1 ``side`` prefix would leave
-    nearly every comparison to the whole row.
-    """
-    keys = ["r_lid", "o_ts", "o_te", "s_lid"]
-    if "side" in x.columns:
-        keys.insert(1, "side")
-    return x.repartition("r_lid").sortWithinPartitions(*keys)
-
-
 def map_group_frames(
     x: DataFrame, fn: Callable[[pd.DataFrame], pd.DataFrame], schema: StructType
 ) -> DataFrame:
     """Run ``fn`` over frames of complete r-tuple groups of the winit
     DataFrame ``x`` (see :func:`group_frames`), in one ``mapInPandas``
-    pass. ``fn`` returns one output frame with the ``schema`` columns."""
+    pass. ``fn`` returns one output frame with the ``schema`` columns.
+
+    ``x`` is repartitioned by ``r_lid`` and each partition sorted by
+    ``(r_lid, o_ts, o_te, s_lid)``. The rows of NJ's full outer join
+    (:func:`repro.core.windows.full_winit`) also sort by ``side`` right
+    after ``r_lid``, so that where an r tuple and an s tuple share a
+    lid, their two groups are contiguous runs. ``r_lid`` stays the
+    first key: Spark's sort compares a prefix of the first key before
+    whole rows, and a 0/1 ``side`` prefix would leave nearly every
+    comparison to the whole row.
+    """
+    keys = ["r_lid", "o_ts", "o_te", "s_lid"]
+    if "side" in x.columns:
+        keys.insert(1, "side")
 
     def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         for frame in group_frames(batches, "r_lid"):
@@ -126,28 +118,4 @@ def map_group_frames(
             if len(out):
                 yield out
 
-    return _by_group(x).mapInPandas(run, schema)
-
-
-def map_groups(
-    x: DataFrame, fn: Callable[[list[dict]], Iterable[dict]], schema: StructType
-) -> DataFrame:
-    """Run ``fn`` over every r-tuple group of the winit DataFrame ``x``.
-
-    Makes one ``mapInPandas`` pass over :func:`_by_group`: each
-    group's records go to ``fn``, whose output rows (dicts keyed
-    by the ``schema`` field names) are buffered up to 8192 rows and
-    emitted as pandas batches.
-    """
-    columns = [f.name for f in schema.fields]
-
-    def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        rows: list[dict] = []
-        for _, group in iter_groups(batches, "r_lid"):
-            rows.extend(fn(group))
-            if len(rows) >= 8192:
-                yield from chunked(rows, columns)
-                rows = []
-        yield from chunked(rows, columns)
-
-    return _by_group(x).mapInPandas(run, schema)
+    return x.repartition("r_lid").sortWithinPartitions(*keys).mapInPandas(run, schema)

@@ -12,9 +12,11 @@ Result schema (paper Fig. 5): for each r fact column ``c`` a column
 ``r_c``, plus ``r_lid``, ``r_p``, ``r_ts``, ``r_te`` (the tuple of the
 positive relation), and for each s fact column ``c`` a column ``s_c``,
 plus ``s_lid``, ``s_p`` (the matched negative tuple, null when ``r``
-matched nothing), and the overlap interval ``[o_ts, o_te)`` — encoded
-with the sentinel ``-1`` when there is no match so the interval
-columns stay non-null int64 through Arrow.
+matched nothing), and the overlap interval ``[o_ts, o_te)``. A row
+without a match is the one with a null ``s_lid`` (inputs with a null
+lid are rejected); its ``o_ts``/``o_te`` hold the filler ``-1`` so the
+interval columns stay non-null int64 through Arrow, but that value is
+never read as "no match": a real overlap may start at -1.
 
 NJ's full outer join uses :func:`full_winit` instead: one
 ``r ⟗_{θ ∧ θo} s`` whose rows feed both of its sweeps (r against s and
@@ -27,7 +29,7 @@ from pyspark.sql import DataFrame, functions as F
 from ..tp.model import TP_COLS, fact_columns
 from .theta import Theta
 
-NO_OVERLAP = -1  # sentinel for the o_ts/o_te of unmatched winit rows
+NO_OVERLAP = -1  # filler o_ts/o_te of unmatched winit rows (null s_lid)
 
 
 def prefixed(df: DataFrame, prefix: str) -> DataFrame:
@@ -59,7 +61,7 @@ def _overlap_join(r: DataFrame, s: DataFrame, theta: Theta, how: str) -> DataFra
 
 def _overlap(matched) -> list:
     """The ``o_ts``/``o_te`` columns of a joined row: the intersection
-    of the two intervals, or the sentinel when ``matched`` is false."""
+    of the two intervals, or the filler when ``matched`` is false."""
     return [
         F.when(matched, F.greatest("r_ts", "s_ts"))
         .otherwise(F.lit(NO_OVERLAP))
@@ -102,7 +104,7 @@ def full_winit(r: DataFrame, s: DataFrame, theta: Theta) -> DataFrame:
     One Catalyst join, then one row per side a joined row holds, tagged
     ``side``: 0 for the r group (r positive, s negative), 1 for the s
     group (s positive, r negative). A matched pair yields both rows; an
-    unmatched r or s tuple one row with the ``NO_OVERLAP`` sentinel.
+    unmatched r or s tuple one row with the ``NO_OVERLAP`` filler.
     ``r_lid``/``r_p``/``r_ts``/``r_te`` hold the positive tuple and
     ``s_lid``/``s_p`` the negative one, as in :func:`winit`; the fact
     columns stay ``r_<c>``/``s_<c>`` on both sides.

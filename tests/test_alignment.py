@@ -11,7 +11,7 @@ from repro.baselines.alignment import (
 from repro.core.negation_joins import all_windows, negation_join, wuo
 from repro.core.theta import Theta
 from repro.synth_data import random_tp_pdf, tp_workload_pdf
-from util import norm, paper_a, paper_b, rows
+from util import joins, norm, paper_a, paper_b, plan_nodes, rows
 
 THETA = Theta.of(("loc", "=", "loc"))
 
@@ -111,3 +111,19 @@ def test_ta_rejects_unknown_op(ab):
     a, b = ab
     with pytest.raises(ValueError):
         ta_negation_join(a, b, THETA, "inner")
+
+
+@pytest.mark.parametrize(
+    "op, n_joins, n_passes",
+    [("anti", 4, 3), ("left", 14, 10), ("right", 14, 10), ("full", 18, 13)],
+)
+def test_plan_shape(ab, op, n_joins, n_passes):
+    """TA's executed plan keeps its joins and Python passes (counted on
+    the paper example): the anti join is the Fig. 10c tree, the left
+    join adds the Fig. 10b tree, right swaps the left join and full adds
+    the anti join of s by r. NJ's advantage in the paper's cost argument
+    is these joins against its one."""
+    a, b = ab
+    nodes = plan_nodes(ta_negation_join(a, b, THETA, op))
+    assert len(joins(nodes)) == n_joins
+    assert [n[0] for n in nodes].count("MapInPandas") == n_passes

@@ -130,7 +130,7 @@ def group_records(draw, rng, lid_prefix: str) -> list[dict]:
 
     recs = []
     for g, size in enumerate(sizes):
-        r_ts = int(rng.integers(0, 20))
+        r_ts = int(rng.integers(-20, 20))  # -1 is a real time point too
         r_te = r_ts + int(rng.integers(1, span + 1))
         r = dict(zip(["r_name", "r_k"], fact()))
         r.update(r_lid=f"{lid_prefix}{g}", r_p=prob(), r_ts=r_ts, r_te=r_te)

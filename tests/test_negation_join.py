@@ -1,10 +1,12 @@
 """End-to-end tests for the NJ operator: golden paper results, the
 snapshot reference, invariants, and the DuckDB probability oracle."""
-import re
 from functools import partial
 
 import pandas as pd
 import pytest
+from hypothesis import given, settings, strategies as st
+from py4j.protocol import Py4JJavaError
+from pyspark.errors import SparkRuntimeException
 
 from repro.baselines.alignment import ta_negation_join
 from repro.core.negation_joins import all_windows, negation_join, wuo
@@ -14,7 +16,7 @@ from repro.oracle import assert_equivalent
 from repro.synth_data import random_tp_pdf, tp_workload_pdf
 from repro.tp.model import tp_pdf, validate_tp_pdf
 from repro.tp.snapshot import expand_df
-from util import norm, paper_a, paper_b, rows
+from util import joins, norm, paper_a, paper_b, plan_nodes, rows
 
 THETA = Theta.of(("loc", "=", "loc"))
 
@@ -93,19 +95,6 @@ class TestPaperGolden:
         a, b = ab
         with pytest.raises(ValueError):
             negation_join(a, b, THETA, "inner")
-
-
-def plan_nodes(df) -> list[list[str]]:
-    """``[name, rest of the line]`` per node of the executed plan."""
-    plan = df._jdf.queryExecution().executedPlan()
-    return [
-        re.sub(r"^[\s:|+-]*(\*\(\d+\)\s*)?", "", line).split(" ", 1)
-        for line in plan.toString().splitlines()
-    ]
-
-
-def joins(nodes) -> list[list[str]]:
-    return [n for n in nodes if n[0].endswith("Join") or n[0] == "CartesianProduct"]
 
 
 @pytest.mark.parametrize("op, passes", [("anti", 1), ("left", 1), ("right", 1), ("full", 1)])
@@ -261,34 +250,141 @@ def test_rejects_bad_input_when_called(spark, case):
             run(r, s, theta)
 
 
-@pytest.mark.parametrize("op", ["left", "right", "full"])
+def text_facts(rows, fact_cols: list[str], integral: str) -> pd.DataFrame:
+    """``rows`` as a pandas TP relation with the ``integral`` fact as
+    text, so the reference copies it exactly, nulls included."""
+    pdf = tp_pdf(rows, fact_cols)
+    i = fact_cols.index(integral)
+    pdf[integral] = [None if row[i] is None else str(row[i]) for row in rows]
+    return pdf
+
+
+def as_text(out, columns, integral: set[str]) -> pd.DataFrame:
+    """Collected rows as a frame of ``columns``, the ``integral`` ones
+    as text, to compare with a reference built by :func:`text_facts`."""
+    got = pd.DataFrame([row.asDict() for row in out], columns=columns, dtype=object)
+    for c in integral & set(columns):
+        got[c] = got[c].map(lambda v: None if v is None else str(v))
+    return got
+
+
+@pytest.mark.parametrize("op", ["anti", "left", "right", "full"])
 def test_int64_facts_beyond_2_53_are_exact(spark, op):
-    """Integral facts survive the Python pass exactly, also next to
-    nulls (pandas would carry such a column as float64)."""
+    """Integral facts survive the Python passes of NJ and TA exactly,
+    also in a column that holds nulls (pandas would carry such a column
+    as float64)."""
     big = 2**60 + 1
-    r_pdf = tp_pdf(
-        [("x", big, "a1", 0, 10, 0.5), ("y", big + 2, "a2", 0, 5, 0.6)], ["k", "v"]
-    )
-    s_pdf = tp_pdf(
-        [("x", big + 4, "b1", 3, 6, 0.4), ("z", -big, "b2", 1, 4, 0.7)], ["k", "w"]
-    )
+    r_rows = [
+        ("x", big, "a1", 0, 10, 0.5),
+        ("y", big + 2, "a2", 0, 5, 0.6),
+        ("x", None, "a3", 2, 8, 0.3),
+    ]
+    s_rows = [
+        ("x", big + 4, "b1", 3, 6, 0.4),
+        ("z", -big, "b2", 1, 4, 0.7),
+        ("y", None, "b3", 1, 3, 0.2),
+    ]
+    r = spark.createDataFrame(r_rows, f"k string, v long, {TP}")
+    s = spark.createDataFrame(s_rows, f"k string, w long, {TP}")
     theta = Theta.equi("k")
-    out = negation_join(
-        spark.createDataFrame(r_pdf), spark.createDataFrame(s_pdf), theta, op
-    )
-    assert {r["s_w"] for r in out.collect()} >= {big + 4}
-    # the reference copies facts opaquely, so compare them as text
-    as_text = {"r_v": str, "s_w": str}
-    got = pd.DataFrame([r.asDict() for r in out.collect()], dtype=object)
-    got = got.apply(
-        lambda col: col.map(lambda v: None if v is None else as_text[col.name](v))
-        if col.name in as_text
-        else col
-    )
     ref = reference_negation_join(
-        r_pdf.astype({"v": str}), s_pdf.astype({"w": str}), theta, op
+        text_facts(r_rows, ["k", "v"], "v"), text_facts(s_rows, ["k", "w"], "w"),
+        theta, op,
     )
-    assert rows(got) == rows(ref)
+    column, value = ("v", big) if op == "anti" else ("s_w", big + 4)
+    for join in (negation_join, ta_negation_join):
+        out = join(r, s, theta, op).collect()
+        assert value in {row[column] for row in out}
+        got = as_text(out, ref.columns, {"v", "r_v", "s_w"})
+        assert rows(got) == rows(ref), join.__name__
+
+
+@pytest.mark.parametrize("op", ["anti", "left", "right", "full"])
+def test_negative_time_points(spark, op):
+    """An overlap that starts at -1 is a real match: the unmatched winit
+    row is told by its null ``s_lid``, not by its ``o_ts``/``o_te``
+    filler -1. NJ ≡ TA ≡ the reference."""
+    r_pdf = tp_pdf([("x", "a1", -5, 3, 0.5)], ["k"])
+    s_pdf = tp_pdf([("x", "b1", -1, 2, 0.4)], ["k"])
+    r, s = spark.createDataFrame(r_pdf), spark.createDataFrame(s_pdf)
+    theta = Theta.equi("k")
+    ref = rows(reference_negation_join(r_pdf, s_pdf, theta, op))
+    assert any(row[-3] == -1 for row in ref)
+    assert rows(negation_join(r, s, theta, op)) == ref
+    assert rows(ta_negation_join(r, s, theta, op)) == ref
+
+
+@pytest.mark.parametrize("side", ["r", "s"])
+@pytest.mark.parametrize("column", ["lid", "ts", "te", "p"])
+def test_null_tp_value_fails_naming_side_and_column(spark, side, column):
+    """A null lid, ts, te or p fails the query with a message that
+    names the side and the column, in NJ and in TA, instead of coming
+    back as a wrong row."""
+    good = {"r": ("x", "a1", 0, 10, 0.5), "s": ("x", "b1", 3, 6, 0.4)}
+    bad = list(good[side])
+    bad[1 + ["lid", "ts", "te", "p"].index(column)] = None
+    data = {k: [v] for k, v in good.items()}
+    data[side].append(tuple(bad))
+    r = spark.createDataFrame(data["r"], OK)
+    s = spark.createDataFrame(data["s"], OK)
+    # the JVM error reaches Python converted or as the raw Java error
+    raised = (SparkRuntimeException, Py4JJavaError)
+    for join in (negation_join, ta_negation_join):
+        with pytest.raises(raised, match=f"{side} has a null '{column}'"):
+            join(r, s, Theta.equi("k"), "left").collect()
+
+
+THETAS = [  # with an equality term, with only < or !=, empty
+    Theta.equi("k"), Theta.of(("k", "<", "k")), Theta.of(("k", "!=", "k")), Theta.of(),
+]
+
+
+@st.composite
+def tp_inputs(draw):
+    """Two duplicate-free TP relations of at most 6 tuples each, as
+    rows ``(k, v, lid, ts, te, p)``, and a θ.
+
+    Times start at a random offset that is often negative; θ keys and
+    the int64 fact ``v`` may be null; s may reuse r's lids."""
+    offset = draw(st.integers(-20, 5))
+    big = 2**60 + 1
+
+    def relation(prefix: str) -> list[tuple]:
+        tuples: list[tuple] = []
+        for i in range(draw(st.integers(0, 6))):
+            k = draw(st.sampled_from(["x", "y", None]))
+            v = draw(st.sampled_from([None, big, -3]))
+            ts = offset + draw(st.integers(0, 12))
+            te = ts + draw(st.integers(1, 6))
+            if not any((k, v) == t[:2] and ts < t[4] and t[3] < te for t in tuples):
+                p = draw(st.sampled_from([1.0, 0.5, 0.25, 0.9]))
+                tuples.append((k, v, f"{prefix}{i}", ts, te, p))
+        return tuples
+
+    r_rows = relation("a")
+    s_rows = relation(draw(st.sampled_from(["a", "b"])))
+    return r_rows, s_rows, draw(st.sampled_from(THETAS))
+
+
+@pytest.mark.parametrize("op", ["anti", "left", "right", "full"])
+@settings(max_examples=4, deadline=None)
+@given(case=tp_inputs())
+def test_nj_equals_ta_equals_reference(spark, op, case):
+    """NJ ≡ TA ≡ the snapshot reference on random small inputs: θ with
+    and without an equality term, negative times, null θ keys and null
+    int64 facts beyond 2^53, empty relations and shared lids."""
+    r_rows, s_rows, theta = case
+    schema = f"k string, v long, {TP}"
+    r = spark.createDataFrame(r_rows, schema)
+    s = spark.createDataFrame(s_rows, schema)
+    ref = reference_negation_join(
+        text_facts(r_rows, ["k", "v"], "v"), text_facts(s_rows, ["k", "v"], "v"),
+        theta, op,
+    )
+    want = rows(ref)
+    for join in (negation_join, ta_negation_join):
+        got = as_text(join(r, s, theta, op).collect(), ref.columns, {"v", "r_v", "s_v"})
+        assert rows(got) == want, join.__name__
 
 
 class TestOracle:

@@ -1,6 +1,8 @@
 """Shared helpers for the test suite."""
 from __future__ import annotations
 
+import re
+
 import pandas as pd
 
 from repro.tp.model import tp_pdf
@@ -98,3 +100,20 @@ def expected_negating(
                 out.append((run_start, t, run_set))
             run_start, run_set = t, active
     return out
+
+
+# ---------------------------------------------------------------------------
+# executed plans
+# ---------------------------------------------------------------------------
+
+def plan_nodes(df) -> list[list[str]]:
+    """``[name, rest of the line]`` per node of the executed plan."""
+    plan = df._jdf.queryExecution().executedPlan()
+    return [
+        re.sub(r"^[\s:|+-]*(\*\(\d+\)\s*)?", "", line).split(" ", 1)
+        for line in plan.toString().splitlines()
+    ]
+
+
+def joins(nodes) -> list[list[str]]:
+    return [n for n in nodes if n[0].endswith("Join") or n[0] == "CartesianProduct"]
