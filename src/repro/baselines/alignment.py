@@ -29,13 +29,13 @@ Each operator's splitting step runs in the same pass as the NJ sweeps
 (:func:`repro.core.stream.map_group_frames`): frames of whole r-tuple
 groups, which TA splits one group at a time in plain Python
 (:func:`_fragments`), sharing no window code with NJ's columnar kernel
-— only its null-flag codec for integral facts. The right and full
-outer joins are composed from TA's anti and left joins by
-:func:`repro.core.negation_joins.compose`, which also builds NJ's right
-outer join; NJ's full outer join makes one θ∧overlap join instead of
-TA's left and anti joins. NJ's sweeps run as one columnar kernel per
-frame while TA's splits loop over groups, so a comparison measures that
-difference on top of the *plan shape*.
+— only its null-flag codec for integral facts. TA's right and full
+outer joins are composed from its anti and left joins, as in the paper:
+the right join is the left join of the swapped arguments, and the full
+join adds to the left join the anti join of s by r. NJ makes one
+θ∧overlap join for each of its four joins instead. NJ's sweeps run as
+one columnar kernel per frame while TA's splits loop over groups, so a
+comparison measures that difference on top of the *plan shape*.
 """
 from __future__ import annotations
 
@@ -46,7 +46,7 @@ from pyspark.sql.types import LongType, StructField, StructType
 
 from ..core import columnar
 from ..core.lawa_u import KIND_NEGATING, KIND_OVERLAPPING, KIND_UNMATCHED
-from ..core.negation_joins import _checked, compose
+from ..core.negation_joins import _checked
 from ..core.stream import map_group_frames
 from ..core.theta import Theta
 from ..core.windows import winit
@@ -363,10 +363,41 @@ def ta_negation_join(r: DataFrame, s: DataFrame, theta: Theta, op: str) -> DataF
     """The TP join with negation, computed by the TA baseline.
 
     Accepts the inputs :func:`repro.core.negation_joins.negation_join`
-    accepts and raises the same errors for the others.
+    accepts and raises the same errors for the others. The right outer
+    join is the left join of the swapped arguments with its sides
+    renamed back; the full outer join adds to the left join the anti
+    join of s by r — Algorithm 3 line 18 re-runs with swapped arguments
+    and op = anti so overlapping windows are not emitted twice.
     """
     r, s = _checked(r, s, op)
-    return compose(_ta_join, r, s, theta, op)
+    if op in ("anti", "left"):
+        return _ta_join(r, s, theta, op)
+    r_facts, s_facts = fact_columns(r), fact_columns(s)
+    if op == "right":
+        swapped = _ta_join(s, r, theta.swapped(), "left")
+        return swapped.select(
+            *[F.col(f"s_{c}").alias(f"r_{c}") for c in r_facts],
+            *[F.col(f"r_{c}").alias(f"s_{c}") for c in s_facts],
+            "lineage",
+            "ts",
+            "te",
+            "p",
+        )
+    left = _ta_join(r, s, theta, "left")
+    right_only = _ta_join(s, r, theta.swapped(), "anti")
+    left_types = {f.name: f.dataType for f in left.schema.fields}
+    promoted = right_only.select(
+        *[
+            F.lit(None).cast(left_types[f"r_{c}"]).alias(f"r_{c}")
+            for c in r_facts
+        ],
+        *[F.col(c).alias(f"s_{c}") for c in s_facts],
+        "lineage",
+        "ts",
+        "te",
+        "p",
+    )
+    return left.unionByName(promoted)
 
 
 def _ta_join(r: DataFrame, s: DataFrame, theta: Theta, op: str) -> DataFrame:

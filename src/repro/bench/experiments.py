@@ -3,8 +3,7 @@
 Each ``table_*`` function runs one experiment sweep and returns a
 :class:`repro.bench.harness.Table` whose rows are the numbers behind
 the corresponding paper figure. ``python -m repro.bench <table>`` runs
-one of them; ``benchmarks/test_*.py`` time single representative cells
-with pytest-benchmark.
+one of them.
 
 Scale note (DESIGN.md §4): the paper sweeps 20K-200K (and up to 2M)
 tuples against a C implementation inside PostgreSQL; this reproduction

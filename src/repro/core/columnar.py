@@ -1,11 +1,12 @@
-"""Columnar LAWA_U, LAWA_N and finalize over complete r-tuple groups.
+"""Columnar LAWA_U, LAWA_N and finalize over complete winit groups.
 
-NJ's Spark pass (:func:`repro.core.stream.map_group_frames`) hands
-:func:`sweep` pandas frames of the winit join, sorted by
+NJ's Spark pass (:func:`repro.core.stream.map_group_frames`) hands the
+kernel pandas frames of the winit join, sorted by
 ``(r_lid, o_ts, o_te, s_lid)`` and cut so that each frame holds whole
-r-tuple groups. One call computes every window of every group in the
-frame with numpy and Arrow array operations, then renders the windows as
-window rows or as finalized TP join tuples. The row-at-a-time
+groups, one positive tuple each. One call computes every window of
+every group in the frame with numpy and Arrow array operations, then
+renders the windows as window rows (:func:`sweep`) or as finalized TP
+join tuples (:func:`join_sweep`, for all four joins). The row-at-a-time
 generators are the specification: :func:`repro.core.lawa_u.sweep_group`,
 :func:`repro.core.lawa_n.sweep_group` and
 :func:`repro.core.negation_joins._finalize`. The property tests in
@@ -27,11 +28,6 @@ generators are the specification: :func:`repro.core.lawa_u.sweep_group`,
   ``r & ~(s1 | s2 …)`` is built by Arrow string kernels, and p is
   ``r_p``, ``r_p·s_p`` or ``r_p·Π(1−p_i)``, multiplied in the same
   order as the specification.
-
-:func:`full_sweep` runs the same windows over the rows of NJ's full
-outer join, where each group is an r tuple against s or an s tuple
-against r, and emits the left join for the first kind of group and the
-anti join for the second.
 
 Integral fact columns reach the kernel null-free, as the value (nulls
 replaced by 0) plus a boolean :func:`null_flag` column; pandas would
@@ -321,34 +317,18 @@ def _join_tuples(
 
 
 def sweep(
-    frame: pd.DataFrame,
-    r_facts: list[str],
-    s_facts: list[str],
-    with_negating: bool,
-    op: str | None,
+    frame: pd.DataFrame, r_facts: list[str], s_facts: list[str], with_negating: bool
 ) -> pd.DataFrame:
-    """Every window of the complete groups in ``frame``.
-
-    With ``op`` None the rows follow the window schema of
-    :func:`repro.core.negation_joins.wuo`; with ``op`` in
-    ``{"anti", "left"}`` they are the finalized TP join tuples.
-    """
+    """Every window of the complete groups in ``frame``, as rows of the
+    window schema of :func:`repro.core.negation_joins.wuo`."""
     by_kind = _windows(frame, with_negating)
-    if op == "anti":
-        del by_kind[KIND_OVERLAPPING]  # anti join keeps windows with negation
     w = _concat(list(by_kind.values()))
-    out: dict[str, object] = {}
-    for c in r_facts:
-        out[c if op == "anti" else f"r_{c}"] = take(frame, f"r_{c}", w.head)
-    if op is None:
-        out["r_lid"] = frame["r_lid"].to_numpy()[w.head]
-        out["r_p"] = frame["r_p"].to_numpy(np.float64)[w.head]
-        out["w_ts"], out["w_te"] = w.ts, w.te
-    if op != "anti":
-        for c in s_facts:
-            out[f"s_{c}"] = take(frame, f"s_{c}", w.src)
-    if op is not None:
-        return _join_tuples(frame, by_kind, w, out)
+    out: dict[str, object] = {f"r_{c}": take(frame, f"r_{c}", w.head) for c in r_facts}
+    out["r_lid"] = frame["r_lid"].to_numpy()[w.head]
+    out["r_p"] = frame["r_p"].to_numpy(np.float64)[w.head]
+    out["w_ts"], out["w_te"] = w.ts, w.te
+    for c in s_facts:
+        out[f"s_{c}"] = take(frame, f"s_{c}", w.src)
     s_p = frame["s_p"].to_numpy(np.float64)
     s_lid = pa.array(frame["s_lid"].to_numpy(), pa.string())
     out["s_lids"] = _lists(w.offsets, s_lid.take(w.members)).to_pandas()
@@ -357,22 +337,28 @@ def sweep(
     return pd.DataFrame(out)
 
 
-def full_sweep(
-    frame: pd.DataFrame, r_facts: list[str], s_facts: list[str]
+def join_sweep(
+    frame: pd.DataFrame, r_facts: list[str], s_facts: list[str], op: str
 ) -> pd.DataFrame:
-    """The full outer join tuples of the complete groups in ``frame``.
+    """The TP join tuples of ``op`` over the complete groups in ``frame``.
 
-    ``frame`` holds rows of :func:`repro.core.windows.full_winit`: the
-    r groups (``side`` 0) give the left outer join ``r ⟕ s``, the s
-    groups (``side`` 1) the anti join ``s ▷ r``. One sweep covers both;
-    the s groups then drop their overlapping windows, take their facts
-    from the ``s_<c>`` columns of the positive tuple, and leave the
-    ``r_<c>`` columns null.
+    ``frame`` holds rows of :func:`repro.core.windows.winit` for the
+    join type of ``op``. A group whose positive tuple is s (``side`` 1,
+    or every group of a right join) is the anti join ``s ▷ r`` in a
+    full join and the left join ``s ⟕ r`` in a right join; every other
+    group is ``r ▷ s`` or ``r ⟕ s``. Overlapping windows are kept in
+    the outer joins' left-join groups only. A window takes the positive
+    tuple's facts from its group's head row and the negative tuple's
+    from its matched row, which only an overlapping window has; the
+    anti join names r's facts without the ``r_`` prefix.
     """
-    side = frame["side"].to_numpy()
+    if "side" in frame.columns:
+        s_positive = frame["side"].to_numpy() == 1
+    else:
+        s_positive = np.full(len(frame), op == "right")
     by_kind = _windows(frame, True)
     o = by_kind[KIND_OVERLAPPING]
-    keep = side[o.src] == 0  # the anti join keeps windows with negation
+    keep = (s_positive[o.src] == (op == "right")) & (op != "anti")
     by_kind[KIND_OVERLAPPING] = _block(
         head=o.head[keep],
         ts=o.ts[keep],
@@ -382,9 +368,13 @@ def full_sweep(
         members=o.src[keep],
     )
     w = _concat(list(by_kind.values()))
-    of_r = side[w.head] == 0
-    r_rows = np.where(of_r, w.head, -1)
-    s_rows = np.where(of_r, w.src, w.head)
-    facts = {f"r_{c}": take(frame, f"r_{c}", r_rows) for c in r_facts}
-    facts.update({f"s_{c}": take(frame, f"s_{c}", s_rows) for c in s_facts})
+    of_s = s_positive[w.head]
+    r_rows = np.where(of_s, w.src, w.head)
+    facts = {
+        (c if op == "anti" else f"r_{c}"): take(frame, f"r_{c}", r_rows)
+        for c in r_facts
+    }
+    if op != "anti":
+        s_rows = np.where(of_s, w.head, w.src)
+        facts.update({f"s_{c}": take(frame, f"s_{c}", s_rows) for c in s_facts})
     return _join_tuples(frame, by_kind, w, facts)

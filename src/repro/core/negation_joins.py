@@ -1,25 +1,27 @@
 """NegationJoins — TP outer and anti joins as a DataFrame operator.
 
 Paper Algorithm 3, ported to distributed dataflow. The plan of the NJ
-approach (paper Fig. 10a) is:
+approach (paper Fig. 10a) is, for every entry point:
 
-1. ``winit = r ⟕_{θ ∧ overlap} s`` — ONE Catalyst join
-   (:func:`repro.core.windows.winit`);
+1. ``winit`` — ONE Catalyst θ∧overlap outer join
+   (:func:`repro.core.windows.winit`): ``r ⟕ s`` for the anti and left
+   joins and the window sets, ``r ⟖ s`` for the right join, ``r ⟗ s``
+   for the full join;
 2. :func:`repro.core.stream.map_group_frames`: repartition by the
-   r-tuple group key (``r_lid``), sort each partition by
-   ``(r_lid, o_ts, o_te, s_lid)`` — the distributed equivalent of
+   group key (``r_lid``, the positive tuple's lid), sort each partition
+   by ``(r_lid, o_ts, o_te, s_lid)`` — the distributed equivalent of
    Algorithm 3 line 2 — and make one ``mapInPandas`` pass. Each Arrow
    batch is cut after its last complete group, and one columnar kernel
-   (:func:`repro.core.columnar.sweep`) runs LAWA_U, (when requested)
-   LAWA_N and finalize over all groups of the frame at once, without
-   materializing more than one batch plus one group.
+   (:func:`repro.core.columnar.join_sweep`, or
+   :func:`repro.core.columnar.sweep` for window rows) runs LAWA_U,
+   (when requested) LAWA_N and finalize over all groups of the frame at
+   once, without materializing more than one batch plus one group.
 
-The full outer join keeps that shape with one join and one pass:
-``r ⟗_{θ ∧ overlap} s`` (:func:`repro.core.windows.full_winit`) gives
-every r group against s and every s group against r, tagged by
-``side``, and :func:`repro.core.columnar.full_sweep` runs the left join
-over the r groups and the anti join of s by r over the s groups — what
-Algorithm 3 line 18 computes with a second run on swapped arguments.
+The right join's groups are s's tuples against r. The full join's
+winit rows hold every r group against s and every s group against r,
+tagged by ``side``; the kernel runs the left join over the r groups and
+the anti join of s by r over the s groups — what Algorithm 3 line 18
+computes with a second run on swapped arguments.
 
 The row-at-a-time generators :func:`repro.core.lawa_u.sweep_group`,
 :func:`repro.core.lawa_n.sweep_group` and :func:`_finalize` (one window
@@ -32,8 +34,7 @@ Entry points mirror the stages the paper benchmarks separately:
 - :func:`wuo` — unmatched + overlapping windows (paper Fig. 11);
 - :func:`all_windows` — adds negating windows (paper Fig. 12);
 - :func:`negation_join` — the TP join result for ``op`` in
-  ``{"anti", "left", "right", "full"}`` (paper Fig. 13), with right
-  composed from left by :func:`compose`.
+  ``{"anti", "left", "right", "full"}`` (paper Fig. 13).
 
 Output schemas:
 
@@ -51,7 +52,6 @@ Output schemas:
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable
 
 from pyspark.sql import DataFrame, functions as F
 from pyspark.sql.types import (
@@ -71,7 +71,7 @@ from ..tp.model import fact_columns
 from . import columnar, lawa_u
 from .stream import map_group_frames
 from .theta import Theta
-from .windows import full_winit, winit
+from .windows import winit
 
 OPS = ("anti", "left", "right", "full")
 
@@ -91,8 +91,9 @@ _TP_TYPES = {
 def _checked(
     r: DataFrame, s: DataFrame, op: str | None
 ) -> tuple[DataFrame, DataFrame]:
-    """``r`` and ``s`` with a null ``lid``/``ts``/``te``/``p`` failing
-    the query, naming the side and the column (:func:`_no_nulls`).
+    """``r`` and ``s`` with a null ``lid``/``ts``/``te``/``p`` or an
+    empty or inverted interval failing the query, naming the side
+    (:func:`_guarded`).
 
     Raises ``ValueError`` at the call for inputs that cannot make a
     valid plan: ``op`` not one of :data:`OPS`, a missing or mistyped
@@ -113,7 +114,7 @@ def _checked(
                     f"got {types[c].simpleString()}"
                 )
     # anti output carries the positive side's facts unprefixed. TA's
-    # full join (compose) adds the anti join of s by r, which would clash
+    # full join adds the anti join of s by r, which would clash
     # on an s fact 'lineage'; NJ's one-pass full join would not, but both
     # operators accept the same inputs.
     positive = {"anti": ("r", r), "full": ("s", s)}.get(op)
@@ -129,15 +130,19 @@ def _checked(
                     f"fact column {c!r} of s clashes with the window "
                     f"column 's_{c}'"
                 )
-    return _no_nulls(r, "r"), _no_nulls(s, "s")
+    return _guarded(r, "r"), _guarded(s, "s")
 
 
-def _no_nulls(df: DataFrame, side: str) -> DataFrame:
-    """``df`` with each nullable ``lid``/``ts``/``te``/``p`` column
-    raising "<side> has a null '<column>'" on a null value.
+def _guarded(df: DataFrame, side: str) -> DataFrame:
+    """``df`` with a null ``lid``/``ts``/``te``/``p`` raising
+    "<side> has a null '<column>'" and a tuple with ``ts >= te``
+    raising "<side> has a tuple with ts >= te".
 
     A null lid would read as "no match" in the winit rows, and a null
-    interval or probability has no TP meaning. The trailing literal is
+    interval or probability has no TP meaning. An empty or inverted
+    interval would make windows outside every tuple's interval. The
+    interval check sits on ``te`` and names a null ``ts`` itself, since
+    Spark may evaluate ``te`` before ``ts``. The trailing literal is
     never reached, but it makes the column non-nullable, so Spark drops
     the null checks from the θ∧overlap join condition, which it
     evaluates for every pair of rows under one equality key (a nullable
@@ -145,16 +150,27 @@ def _no_nulls(df: DataFrame, side: str) -> DataFrame:
     one SQL expression, which the driver builds faster than the same
     guard made of ``functions`` calls.
     """
-    nullable = {f.name: f.dataType for f in df.schema.fields if f.nullable}
-    return df.select(*[
-        F.expr(
-            f"coalesce({c}, raise_error(\"{side} has a null '{c}'\"), "
-            f"CAST(0 AS {nullable[c].simpleString()}))"
+    fields = {f.name: f for f in df.schema.fields}
+
+    def fail(c: str) -> str:
+        return f"raise_error(\"{side} has a null '{c}'\")"
+
+    def guard(c: str):
+        if c == "te":
+            value = (
+                f"CASE WHEN ts < te THEN te WHEN ts IS NULL THEN {fail('ts')} "
+                f"WHEN te IS NULL THEN {fail('te')} "
+                f"ELSE raise_error(\"{side} has a tuple with ts >= te\") END"
+            )
+        elif c in _TP_TYPES and fields[c].nullable:
+            value = f"{c}, {fail(c)}"
+        else:
+            return F.col(c)
+        return F.expr(
+            f"coalesce({value}, CAST(0 AS {fields[c].dataType.simpleString()}))"
         ).alias(c)
-        if c in _TP_TYPES and c in nullable
-        else F.col(c)
-        for c in df.columns
-    ])
+
+    return df.select(*[guard(c) for c in df.columns])
 
 
 def _window_schema(winit_schema: StructType, s_facts: list[str]) -> StructType:
@@ -213,7 +229,7 @@ def _finalize(
 
     Applies the per-window-kind lineage-concatenation function and the
     exact probability valuation under tuple independence. The columnar
-    kernel (:func:`repro.core.columnar.sweep`) is tested against it.
+    kernel (:func:`repro.core.columnar.join_sweep`) is tested against it.
     """
     kind = w["kind"]
     if kind == lawa_u.KIND_OVERLAPPING and op == "anti":
@@ -242,38 +258,26 @@ def _finalize(
 
 
 def _run_sweeps(
-    r: DataFrame,
-    s: DataFrame,
-    theta: Theta,
-    with_negating: bool,
-    finalize_op: str | None,
+    r: DataFrame, s: DataFrame, theta: Theta, op: str | None, with_negating: bool = True
 ) -> DataFrame:
-    """Run LAWA_U (and LAWA_N) over every r-tuple group of winit, as
-    the columnar kernel in one :func:`map_group_frames` pass.
+    """One θ∧overlap join and one :func:`map_group_frames` pass running
+    the columnar kernel over every group of its winit rows.
 
-    When ``finalize_op`` is None, emits window rows; otherwise emits
-    finalized TP join output tuples for ``op`` in {"anti", "left",
-    "full"} (right is composed from left by :func:`compose`). The full
-    join sweeps the groups of both sides of one
-    :func:`repro.core.windows.full_winit` join.
+    With ``op`` None the pass emits window rows (LAWA_N only when
+    ``with_negating``); otherwise the TP join tuples of ``op``, from
+    the winit rows of the join type of ``op``: a right join sweeps the
+    groups of s, a full join the groups of both sides.
     """
     r_facts, s_facts = fact_columns(r), fact_columns(s)
-    if finalize_op == "full":
-        x = full_winit(r, s, theta)
-        kernel = partial(columnar.full_sweep, r_facts=r_facts, s_facts=s_facts)
-    else:
-        x = winit(r, s, theta)
+    x = winit(r, s, theta, op if op in ("right", "full") else "left")
+    if op is None:
         kernel = partial(
-            columnar.sweep,
-            r_facts=r_facts,
-            s_facts=s_facts,
-            with_negating=with_negating,
-            op=finalize_op,
+            columnar.sweep, r_facts=r_facts, s_facts=s_facts, with_negating=with_negating
         )
-    if finalize_op is None:
         schema = _window_schema(x.schema, s_facts)
     else:
-        schema = _join_schema(x.schema, r_facts, s_facts, finalize_op)
+        kernel = partial(columnar.join_sweep, r_facts=r_facts, s_facts=s_facts, op=op)
+        schema = _join_schema(x.schema, r_facts, s_facts, op)
     facts = [f"r_{c}" for c in r_facts] + [f"s_{c}" for c in s_facts]
     return map_group_frames(columnar.carry_integral_nulls(x, facts), kernel, schema)
 
@@ -285,13 +289,13 @@ def _run_sweeps(
 def wuo(r: DataFrame, s: DataFrame, theta: Theta) -> DataFrame:
     """Unmatched + overlapping windows of r w.r.t. s (paper W_UO)."""
     r, s = _checked(r, s, None)
-    return _run_sweeps(r, s, theta, with_negating=False, finalize_op=None)
+    return _run_sweeps(r, s, theta, None, with_negating=False)
 
 
 def all_windows(r: DataFrame, s: DataFrame, theta: Theta) -> DataFrame:
     """All three window sets of r w.r.t. s, computed in one pipeline."""
     r, s = _checked(r, s, None)
-    return _run_sweeps(r, s, theta, with_negating=True, finalize_op=None)
+    return _run_sweeps(r, s, theta, None)
 
 
 def negation_join(r: DataFrame, s: DataFrame, theta: Theta, op: str) -> DataFrame:
@@ -302,62 +306,8 @@ def negation_join(r: DataFrame, s: DataFrame, theta: Theta, op: str) -> DataFram
     reducibility and change preservation (paper Section III).
     Raises ``ValueError`` for an unknown ``op``, a missing or mistyped
     ``lid``/``ts``/``te``/``p`` column or a fact column that clashes
-    with an output column. A null ``lid``/``ts``/``te``/``p`` fails the
-    query when it runs.
+    with an output column. A null ``lid``/``ts``/``te``/``p`` or a
+    tuple with ``ts >= te`` fails the query when it runs.
     """
     r, s = _checked(r, s, op)
-    if op == "full":
-        return _sweep_join(r, s, theta, op)
-    return compose(_sweep_join, r, s, theta, op)
-
-
-def _sweep_join(r: DataFrame, s: DataFrame, theta: Theta, op: str) -> DataFrame:
-    """NJ's anti, left or full join: one θ∧overlap join, one sweep pass."""
-    return _run_sweeps(r, s, theta, with_negating=True, finalize_op=op)
-
-
-def compose(
-    base: Callable[[DataFrame, DataFrame, Theta, str], DataFrame],
-    r: DataFrame,
-    s: DataFrame,
-    theta: Theta,
-    op: str,
-) -> DataFrame:
-    """The TP join ``op`` (validated by :func:`_checked`) built from
-    ``base``, which computes anti/left.
-
-    Shared by NJ and the TA baseline. The right outer join is the left
-    join of the swapped arguments with its sides renamed back; the full
-    outer join adds to the left join the anti join of s by r —
-    Algorithm 3 line 18 re-runs with swapped arguments and op = anti so
-    overlapping windows are not emitted twice. NJ's full outer join
-    does not come here: it runs one θ∧overlap join and one sweep pass.
-    """
-    if op in ("anti", "left"):
-        return base(r, s, theta, op)
-    r_facts, s_facts = fact_columns(r), fact_columns(s)
-    if op == "right":
-        swapped = base(s, r, theta.swapped(), "left")
-        return swapped.select(
-            *[F.col(f"s_{c}").alias(f"r_{c}") for c in r_facts],
-            *[F.col(f"r_{c}").alias(f"s_{c}") for c in s_facts],
-            "lineage",
-            "ts",
-            "te",
-            "p",
-        )
-    left = base(r, s, theta, "left")
-    right_only = base(s, r, theta.swapped(), "anti")
-    left_types = {f.name: f.dataType for f in left.schema.fields}
-    promoted = right_only.select(
-        *[
-            F.lit(None).cast(left_types[f"r_{c}"]).alias(f"r_{c}")
-            for c in r_facts
-        ],
-        *[F.col(c).alias(f"s_{c}") for c in s_facts],
-        "lineage",
-        "ts",
-        "te",
-        "p",
-    )
-    return left.unionByName(promoted)
+    return _run_sweeps(r, s, theta, op)

@@ -1,7 +1,7 @@
 """Streaming group iteration over sorted Arrow batches.
 
 The LAWA sweeps (and the TA baseline's align/normalize) process the
-winit join result by r-tuple group, in sorted order, with state bounded
+winit join result one positive tuple's group at a time, in sorted order, with state bounded
 by one Arrow batch plus one group — the paper's pipelined executor
 model. Spark's ``mapInPandas`` hands each partition to Python as an
 iterator of Arrow-sized pandas batches; a group never spans partitions
@@ -9,7 +9,7 @@ iterator of Arrow-sized pandas batches; a group never spans partitions
 :func:`map_group_frames` is the one pass that distributes a winit
 DataFrame this way: :func:`group_frames` cuts the batch stream into
 frames of complete groups, and a frame → frame function (NJ's columnar
-kernel :func:`repro.core.columnar.sweep`, TA's align/normalize split)
+kernel in :mod:`repro.core.columnar`, TA's align/normalize split)
 turns each frame into one output frame.
 
 :func:`iter_groups` and :func:`chunked` are the row-at-a-time
@@ -99,14 +99,14 @@ def map_group_frames(
     DataFrame ``x`` (see :func:`group_frames`), in one ``mapInPandas``
     pass. ``fn`` returns one output frame with the ``schema`` columns.
 
-    ``x`` is repartitioned by ``r_lid`` and each partition sorted by
-    ``(r_lid, o_ts, o_te, s_lid)``. The rows of NJ's full outer join
-    (:func:`repro.core.windows.full_winit`) also sort by ``side`` right
-    after ``r_lid``, so that where an r tuple and an s tuple share a
-    lid, their two groups are contiguous runs. ``r_lid`` stays the
-    first key: Spark's sort compares a prefix of the first key before
-    whole rows, and a 0/1 ``side`` prefix would leave nearly every
-    comparison to the whole row.
+    ``x`` is repartitioned by ``r_lid``, the positive tuple's lid, and
+    each partition sorted by ``(r_lid, o_ts, o_te, s_lid)``. The rows
+    of NJ's full outer join (``winit(..., how="full")``) also sort by
+    ``side`` right after ``r_lid``, so that where an r tuple and an s
+    tuple share a lid, their two groups are contiguous runs. ``r_lid``
+    stays the first key: Spark's sort compares a prefix of the first key
+    before whole rows, and a 0/1 ``side`` prefix would leave nearly
+    every comparison to the whole row.
     """
     keys = ["r_lid", "o_ts", "o_te", "s_lid"]
     if "side" in x.columns:

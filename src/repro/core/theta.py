@@ -60,11 +60,12 @@ class Theta:
     def swapped(self) -> "Theta":
         """θ with the roles of the two relations exchanged.
 
-        Needed wherever s is the positive relation: the right outer
-        join (the left join of the swapped arguments), TA's full outer
-        join, which re-runs the anti join with the arguments reversed
-        (paper Algorithm 3, line 18), and the snapshot reference. NJ's
-        own full outer join evaluates θ once, in one r ⟗ s join.
+        Needed wherever the TA baseline or the snapshot reference runs
+        with s as the positive relation: the right outer join (the left
+        join of the swapped arguments) and the full outer join, which
+        re-runs the anti join with the arguments reversed (paper
+        Algorithm 3, line 18). NJ never swaps θ: its right and full
+        joins evaluate θ once, in one r ⟖ s or r ⟗ s join.
         """
         flip = {"<": ">", ">": "<", "<=": ">=", ">=": "<=", "=": "=", "!=": "!="}
         return Theta(tuple((r, flip[op], l) for l, op, r in self.terms))

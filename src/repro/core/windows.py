@@ -1,32 +1,29 @@
-"""winit: the conventional θ∧overlap left outer join (paper §VI-A).
+"""winit: the conventional θ∧overlap outer join (paper §VI-A).
 
 The overlapping windows of ``r`` with respect to ``s`` are computed by
-ONE conventional left outer join ``r ⟕_{θ ∧ θo} s`` with the overlap
+ONE conventional outer join of ``r`` and ``s`` on θ and the overlap
 predicate ``θo : r.T ∩ s.T ≠ ∅`` — this is the single expensive node
 of the NJ query tree (paper Fig. 10a) and is delegated entirely to
 Catalyst, which plans it as a sort-merge join when θ has equality
 terms (the WebKit workload) or a broadcast/loop join otherwise (the
 Meteo workload), just as PostgreSQL's optimizer does in the paper.
 
-Result schema (paper Fig. 5): for each r fact column ``c`` a column
-``r_c``, plus ``r_lid``, ``r_p``, ``r_ts``, ``r_te`` (the tuple of the
-positive relation), and for each s fact column ``c`` a column ``s_c``,
-plus ``s_lid``, ``s_p`` (the matched negative tuple, null when ``r``
-matched nothing), and the overlap interval ``[o_ts, o_te)``. A row
-without a match is the one with a null ``s_lid`` (inputs with a null
-lid are rejected); its ``o_ts``/``o_te`` hold the filler ``-1`` so the
-interval columns stay non-null int64 through Arrow, but that value is
-never read as "no match": a real overlap may start at -1.
-
-NJ's full outer join uses :func:`full_winit` instead: one
-``r ⟗_{θ ∧ θo} s`` whose rows feed both of its sweeps (r against s and
-s against r) in the same winit roles, tagged by ``side``.
+Result schema (paper Fig. 5): ``r_lid``, ``r_p``, ``r_ts``, ``r_te``
+hold the tuple of the positive relation and ``s_lid``, ``s_p`` the
+matched negative tuple (null when the positive tuple matched nothing),
+plus the overlap interval ``[o_ts, o_te)``. For each r fact column
+``c`` there is a column ``r_c`` and for each s fact column a column
+``s_c``, whichever side is positive. A row without a match is the one
+with a null ``s_lid`` (inputs with a null lid are rejected); its
+``o_ts``/``o_te`` hold the filler ``-1`` so the interval columns stay
+non-null int64 through Arrow, but that value is never read as "no
+match": a real overlap may start at -1.
 """
 from __future__ import annotations
 
 from pyspark.sql import DataFrame, functions as F
 
-from ..tp.model import TP_COLS, fact_columns
+from ..tp.model import fact_columns
 from .theta import Theta
 
 NO_OVERLAP = -1  # filler o_ts/o_te of unmatched winit rows (null s_lid)
@@ -37,19 +34,9 @@ def prefixed(df: DataFrame, prefix: str) -> DataFrame:
     return df.select(*(F.col(c).alias(prefix + c) for c in df.columns))
 
 
-def winit_columns(r_facts: list[str], s_facts: list[str]) -> list[str]:
-    """The column order of a winit DataFrame for the given fact columns."""
-    return (
-        [f"r_{c}" for c in r_facts]
-        + ["r_lid", "r_p", "r_ts", "r_te"]
-        + [f"s_{c}" for c in s_facts]
-        + ["s_lid", "s_p", "o_ts", "o_te"]
-    )
-
-
 def _overlap_join(r: DataFrame, s: DataFrame, theta: Theta, how: str) -> DataFrame:
-    """``r`` joined with ``s`` on θ ∧ overlap (``how``: "left" or
-    "full"), every column prefixed by its side."""
+    """``r`` joined with ``s`` on θ ∧ overlap (``how``: "left", "right"
+    or "full"), every column prefixed by its side."""
     rr, ss = prefixed(r, "r_"), prefixed(s, "s_")
     cond = (
         theta.spark_condition(rr, ss, "r_", "s_")
@@ -74,63 +61,45 @@ def _overlap(matched) -> list:
     ]
 
 
-def winit(r: DataFrame, s: DataFrame, theta: Theta) -> DataFrame:
-    """``r ⟕_{θ ∧ θo} s`` — overlapping windows plus the unmatched
-    windows of r tuples that overlap/match no s tuple at all.
+def winit(r: DataFrame, s: DataFrame, theta: Theta, how: str = "left") -> DataFrame:
+    """The winit rows of one θ∧overlap outer join of ``r`` and ``s``.
+
+    - ``"left"``: ``r ⟕_{θ ∧ θo} s``, r positive — the overlapping
+      windows of r plus one row for each r tuple that matches nothing.
+    - ``"right"``: ``r ⟖_{θ ∧ θo} s``, s positive.
+    - ``"full"``: ``r ⟗_{θ ∧ θo} s``, one row per side a joined row
+      holds, tagged ``side``: 0 for the r group (r positive), 1 for
+      the s group (s positive). A matched pair yields both rows.
 
     Exactly one Catalyst join; every downstream window set is derived
     from this result without touching ``r`` or ``s`` again (the core
     efficiency claim of the NJ approach).
     """
     r_facts, s_facts = fact_columns(r), fact_columns(s)
-    joined = _overlap_join(r, s, theta, "left")
-    return joined.select(
-        *[joined[f"r_{c}"] for c in r_facts],
-        "r_lid",
-        "r_p",
-        "r_ts",
-        "r_te",
-        *[joined[f"s_{c}"] for c in s_facts],
-        "s_lid",
-        "s_p",
-        *_overlap(joined["s_lid"].isNotNull()),
-    )
-
-
-def full_winit(r: DataFrame, s: DataFrame, theta: Theta) -> DataFrame:
-    """``r ⟗_{θ ∧ θo} s`` as the winit rows of both halves of the full
-    outer join: r's groups against s, and s's groups against r.
-
-    One Catalyst join, then one row per side a joined row holds, tagged
-    ``side``: 0 for the r group (r positive, s negative), 1 for the s
-    group (s positive, r negative). A matched pair yields both rows; an
-    unmatched r or s tuple one row with the ``NO_OVERLAP`` filler.
-    ``r_lid``/``r_p``/``r_ts``/``r_te`` hold the positive tuple and
-    ``s_lid``/``s_p`` the negative one, as in :func:`winit`; the fact
-    columns stay ``r_<c>``/``s_<c>`` on both sides.
-    """
-    r_facts, s_facts = fact_columns(r), fact_columns(s)
-    joined = _overlap_join(r, s, theta, "full")
+    joined = _overlap_join(r, s, theta, how)
     has_r, has_s = joined["r_lid"].isNotNull(), joined["s_lid"].isNotNull()
-    side = F.explode(
-        F.array_compact(F.array(F.when(has_r, F.lit(0)), F.when(has_s, F.lit(1))))
-    )
-    x = joined.select("*", *_overlap(has_r & has_s), side.alias("side"))
-    r_positive = F.col("side") == 0
+    if how == "full":
+        side = F.explode(
+            F.array_compact(F.array(F.when(has_r, F.lit(0)), F.when(has_s, F.lit(1))))
+        )
+        x = joined.select("*", *_overlap(has_r & has_s), side.alias("side"))
+    else:
+        x = joined.select("*", *_overlap(has_s if how == "left" else has_r))
 
-    def positive(c: str):
-        return F.when(r_positive, F.col(f"r_{c}")).otherwise(F.col(f"s_{c}"))
-
-    def negative(c: str):
-        return F.when(r_positive, F.col(f"s_{c}")).otherwise(F.col(f"r_{c}"))
+    def role(c: str, positive: bool):
+        """The column of the positive (or the negative) tuple's ``c``."""
+        a, b = (f"r_{c}", f"s_{c}") if positive else (f"s_{c}", f"r_{c}")
+        if how == "full":
+            return F.when(F.col("side") == 0, F.col(a)).otherwise(F.col(b))
+        return F.col(a if how == "left" else b)
 
     return x.select(
-        "side",
+        *(["side"] if how == "full" else []),
         *[f"r_{c}" for c in r_facts],
-        *[positive(c).alias(f"r_{c}") for c in ("lid", "p", "ts", "te")],
+        *[role(c, True).alias(f"r_{c}") for c in ("lid", "p", "ts", "te")],
         *[f"s_{c}" for c in s_facts],
-        negative("lid").alias("s_lid"),
-        negative("p").alias("s_p"),
+        role("lid", False).alias("s_lid"),
+        role("p", False).alias("s_p"),
         "o_ts",
         "o_te",
     )

@@ -2,12 +2,12 @@
 
 The property tests run without Spark: random winit frames, cut into
 batches at arbitrary rows, go through the kernel
-(``stream.group_frames`` → ``columnar.sweep``) and through the spec
-(``stream.iter_groups`` → ``lawa_u.sweep_group`` →
+(``stream.group_frames`` → ``columnar.sweep`` or ``columnar.join_sweep``)
+and through the spec (``stream.iter_groups`` → ``lawa_u.sweep_group`` →
 ``lawa_n.sweep_group`` → ``negation_joins._finalize`` or the window
-record), for all four outputs; the full outer join's rows go through
-``columnar.full_sweep`` and through the left spec on the r groups and
-the anti spec on the s groups. The Spark test makes groups span Arrow
+record), for the window rows and the anti, left and right joins; the
+full outer join's rows go through ``columnar.join_sweep`` and through
+the left spec on the r groups and the anti spec on the s groups. The Spark test makes groups span Arrow
 batches inside the real ``mapInPandas`` pass.
 """
 import math
@@ -28,11 +28,12 @@ from util import rows
 
 R_FACTS, S_FACTS = ["name", "k"], ["name", "k"]
 INTEGRAL = ["r_k", "s_k"]
-OUTPUTS = [  # (with_negating, op): wuo, all_windows, anti, left
+OUTPUTS = [  # (with_negating, op): wuo, all_windows, anti, left, right
     (False, None),
     (True, None),
     (True, "anti"),
     (True, "left"),
+    (True, "right"),
 ]
 
 
@@ -69,9 +70,11 @@ def window_record(w, head, r_facts, s_facts) -> dict:
 def kernel_rows(batches, r_facts, s_facts, with_negating, op) -> list[dict]:
     out = []
     for frame in group_frames(iter(batches), "r_lid"):
-        out += columnar.sweep(
-            frame, r_facts, s_facts, with_negating, op
-        ).to_dict("records")
+        if op is None:
+            got = columnar.sweep(frame, r_facts, s_facts, with_negating)
+        else:
+            got = columnar.join_sweep(frame, r_facts, s_facts, op)
+        out += got.to_dict("records")
     return out
 
 
@@ -185,27 +188,35 @@ def winit_batches(draw):
     return cut(draw, as_frame(group_records(draw, rng, "a"), WINIT_ORDER))
 
 
+FACT_SWAP = {  # r_<c> <-> s_<c>, and their null flags
+    f"{a}_{c}": f"{b}_{c}" for a, b in (("r", "s"), ("s", "r")) for c in R_FACTS
+}
+FACT_SWAP.update({columnar.null_flag(a): columnar.null_flag(b) for a, b in FACT_SWAP.items()})
+
+
 @pytest.mark.parametrize("with_negating, op", OUTPUTS)
 @settings(max_examples=40, deadline=None)
 @given(batches=winit_batches())
 def test_kernel_matches_spec(batches, with_negating, op):
+    """The right join's frames are the left join's with s positive: the
+    positive facts under ``s_<c>``, the negative ones under ``r_<c>``."""
     spec_batches, kernel_batches = batches
-    assert_same_rows(
-        kernel_rows(kernel_batches, R_FACTS, S_FACTS, with_negating, op),
-        spec_rows(spec_batches, R_FACTS, S_FACTS, with_negating, op),
+    want = spec_rows(
+        spec_batches, R_FACTS, S_FACTS, with_negating, "left" if op == "right" else op
     )
-
-
-FACT_SWAP = {  # r_<c> <-> s_<c>
-    f"{a}_{c}": f"{b}_{c}" for a, b in (("r", "s"), ("s", "r")) for c in R_FACTS
-}
+    if op == "right":
+        kernel_batches = [b.rename(columns=FACT_SWAP) for b in kernel_batches]
+        want = [{FACT_SWAP.get(c, c): v for c, v in rec.items()} for rec in want]
+    assert_same_rows(
+        kernel_rows(kernel_batches, R_FACTS, S_FACTS, with_negating, op), want
+    )
 
 
 @st.composite
 def full_batches(draw):
-    """Sorted full-join rows (``windows.full_winit``) cut into batches,
-    plus the spec's inputs: the side-0 rows and the side-1 rows with
-    the positive facts under ``r_<c>``.
+    """Sorted full-join rows (``windows.winit(..., how="full")``) cut
+    into batches, plus the spec's inputs: the side-0 rows and the side-1
+    rows with the positive facts under ``r_<c>``.
 
     Side-1 lids may repeat side-0 lids, which puts an r group and an s
     group under one ``r_lid``."""
@@ -226,12 +237,12 @@ def full_batches(draw):
 @settings(max_examples=40, deadline=None)
 @given(batches=full_batches())
 def test_full_kernel_matches_left_and_anti_spec(batches):
-    """full_sweep ≡ the left spec over the r groups ∪ the anti spec over
+    """join_sweep ≡ the left spec over the r groups ∪ the anti spec over
     the s groups, whose positive facts land in ``s_<c>``."""
     kernel_batches, spec_left, spec_anti = batches
     got = []
     for frame in group_frames(iter(kernel_batches), "r_lid"):
-        got += columnar.full_sweep(frame, R_FACTS, S_FACTS).to_dict("records")
+        got += columnar.join_sweep(frame, R_FACTS, S_FACTS, "full").to_dict("records")
     want = spec_rows([spec_left], R_FACTS, S_FACTS, True, "left")
     for rec in spec_rows([spec_anti], S_FACTS, R_FACTS, True, "anti"):
         want.append({
@@ -250,7 +261,7 @@ def test_paper_group_fig9():
             "s_lid": ["b3", "b2"], "s_p": [0.7, 0.6], "o_ts": [4, 5], "o_te": [6, 8],
         }
     )
-    out = columnar.sweep(frame, [], [], True, "anti")
+    out = columnar.join_sweep(frame, [], [], "anti")
     assert sorted(zip(out["lineage"], out["ts"], out["te"], out["p"].round(6))) == [
         ("a1", 2, 4, 0.7),
         ("a1 & ~(b2 | b3)", 5, 6, 0.084),
@@ -268,7 +279,7 @@ def test_null_match_row_mixed_with_matches_is_rejected():
         }
     )
     with pytest.raises(ValueError, match="null-match"):
-        columnar.sweep(frame, [], [], True, "left")
+        columnar.join_sweep(frame, [], [], "left")
 
 
 # ---------------------------------------------------------------------------

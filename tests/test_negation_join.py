@@ -97,15 +97,21 @@ class TestPaperGolden:
             negation_join(a, b, THETA, "inner")
 
 
+JOIN_TYPES = {"anti": "LeftOuter", "left": "LeftOuter", "right": "RightOuter",
+              "full": "FullOuter"}
+
+
 @pytest.mark.parametrize("op, passes", [("anti", 1), ("left", 1), ("right", 1), ("full", 1)])
 def test_plan_has_one_join_per_sweep_pass(ab, op, passes):
     """Each sweep pass costs exactly one θ∧overlap join and one shuffle
-    by r_lid (paper Fig. 10a). Every op makes one pass: the full join
-    sweeps both sides of one r ⟗ s join, with no union."""
+    by r_lid (paper Fig. 10a). Every op makes one pass: the right join
+    sweeps the s groups of one r ⟖ s join, the full join both sides of
+    one r ⟗ s join, with no union."""
     a, b = ab
     nodes = plan_nodes(negation_join(a, b, THETA, op))
     names = [n[0] for n in nodes]
     assert len(joins(nodes)) == passes
+    assert all(f" {JOIN_TYPES[op]}, " in rest for _, rest in joins(nodes))
     assert names.count("MapInPandas") == passes
     assert sum(
         n[0] == "Exchange" and n[1].startswith("hashpartitioning(r_lid#")
@@ -331,6 +337,23 @@ def test_null_tp_value_fails_naming_side_and_column(spark, side, column):
     raised = (SparkRuntimeException, Py4JJavaError)
     for join in (negation_join, ta_negation_join):
         with pytest.raises(raised, match=f"{side} has a null '{column}'"):
+            join(r, s, Theta.equi("k"), "left").collect()
+
+
+@pytest.mark.parametrize("side", ["r", "s"])
+@pytest.mark.parametrize("ts, te", [(5, 5), (7, 3)], ids=["empty", "inverted"])
+def test_empty_or_inverted_interval_fails_naming_side(spark, side, ts, te):
+    """A tuple with ts >= te fails the query with a message that names
+    the side, in NJ and in TA, instead of coming back as windows outside
+    every tuple's interval or crashing inside the sweep."""
+    good = {"r": ("x", "a1", 0, 10, 0.5), "s": ("x", "b1", 0, 10, 0.4)}
+    data = {k: [v] for k, v in good.items()}
+    data[side].append(("x", f"{side}9", ts, te, 0.5))
+    r = spark.createDataFrame(data["r"], OK)
+    s = spark.createDataFrame(data["s"], OK)
+    raised = (SparkRuntimeException, Py4JJavaError)
+    for join in (negation_join, ta_negation_join):
+        with pytest.raises(raised, match=f"{side} has a tuple with ts >= te"):
             join(r, s, Theta.equi("k"), "left").collect()
 
 
