@@ -103,8 +103,11 @@ def _fragment_pass(
     target: DataFrame, ref: DataFrame, theta: Theta, mode: str
 ) -> DataFrame:
     """Shared driver of Φ and N: one winit-scale join, then
-    :func:`_fragments` for every group of the target's tuples."""
-    facts = [f"r_{c}" for c in fact_columns(target)]
+    :func:`_fragments` for every group of the target's tuples, after
+    NJ's check that each group holds one target tuple
+    (:func:`repro.core.columnar.check_groups`)."""
+    target_facts = fact_columns(target)
+    facts = [f"r_{c}" for c in target_facts]
     x = winit(target, ref, theta).select(
         *facts, "r_lid", "r_p", "r_ts", "r_te", "s_lid", "o_ts", "o_te"
     )
@@ -113,8 +116,10 @@ def _fragment_pass(
         lid = frame["r_lid"].to_numpy()
         r_ts, r_te = frame["r_ts"].tolist(), frame["r_te"].tolist()
         o_ts, o_te = frame["o_ts"].tolist(), frame["o_te"].tolist()
-        matched = frame["s_lid"].notna().tolist()
-        first = np.flatnonzero(np.append(True, lid[1:] != lid[:-1])).tolist()
+        matched = frame["s_lid"].notna().to_numpy()
+        new_group = np.append(True, lid[1:] != lid[:-1])
+        columnar.check_groups(frame, new_group, matched, target_facts)
+        first = np.flatnonzero(new_group).tolist()
         head, f_ts, f_te = [], [], []
         for a, b in zip(first, first[1:] + [len(frame)]):
             b = b if matched[a] else a  # a null-match row: no matches

@@ -64,7 +64,3 @@ class Table:
         head = " | ".join(c.rjust(x) for c, x in zip(self.columns, w))
         rule = "-+-".join("-" * x for x in w)
         return f"\n== {self.title} ==\n{head}\n{rule}"
-
-    def render(self) -> str:
-        lines = [self.header()] + [self._format_row(r) for r in self.rows]
-        return "\n".join(lines)

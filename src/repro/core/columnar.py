@@ -29,6 +29,10 @@ generators are the specification: :func:`repro.core.lawa_u.sweep_group`,
   ``r_p``, ``r_p·s_p`` or ``r_p·Π(1−p_i)``, multiplied in the same
   order as the specification.
 
+Groups are keyed by lid, so each must hold one positive tuple:
+:func:`check_groups` fails the frame, naming the lid, where two tuples
+of one relation share it and their rows meet in one group.
+
 Integral fact columns reach the kernel null-free, as the value (nulls
 replaced by 0) plus a boolean :func:`null_flag` column; pandas would
 otherwise turn an integral column with nulls into float64 and round
@@ -37,6 +41,7 @@ and the kernel restores the nulls in its output.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,14 +130,86 @@ def _starts(values: np.ndarray) -> np.ndarray:
     return new
 
 
-def _windows(frame: pd.DataFrame, with_negating: bool) -> dict[str, Block]:
+def _shared_lid(why: str, *lids: np.ndarray) -> None:
+    """Raise ``ValueError`` if ``lids`` are not empty: two tuples of one
+    relation share the first lid, or one of the first lids of several
+    arrays."""
+    if len(lids[0]):
+        names = " or the lid ".join(repr(a[0]) for a in lids)
+        raise ValueError(f"two tuples of one relation share the lid {names}: {why}")
+
+
+def _differs(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Whether ``values`` at ``rows`` differ from the row before; two
+    nulls are equal."""
+    a, b = values[rows], values[rows - 1]
+    out = a != b
+    if out.any():
+        out &= ~(pd.isna(a) & pd.isna(b))
+    return out
+
+
+def check_groups(
+    frame: pd.DataFrame,
+    new_group: np.ndarray,
+    matched: np.ndarray,
+    r_facts: Sequence[str],
+    s_facts: Sequence[str] = (),
+    s_positive: np.ndarray | None = None,
+) -> None:
+    """Raise ``ValueError`` (:func:`_shared_lid`) when a group of
+    ``frame``, whose first row is where ``new_group`` is true, holds the
+    rows of more than one positive tuple: a null-match row (not
+    ``matched``) shares the group with another row, or the rows disagree
+    on ``r_ts``, ``r_te``, ``r_p`` or the positive tuple's facts, which
+    are ``r_<c>`` for ``c`` in ``r_facts``, or ``s_<c>`` for ``c`` in
+    ``s_facts`` in the rows where ``s_positive``. A row that repeats the
+    ``(o_ts, o_te, s_lid)`` of the row before it fails too, naming both
+    lids: it comes from two equal positive tuples or from two negative
+    tuples with one lid.
+    """
+    inner = np.flatnonzero(~new_group)  # every row but a group's first
+    r_lid, s_lid = frame["r_lid"].to_numpy(), frame["s_lid"].to_numpy()
+    _shared_lid(
+        "a null-match winit row shares its group with other rows",
+        r_lid[inner[~matched[inner] | ~matched[inner - 1]]],
+    )
+    s_rows = np.zeros(len(inner), bool) if s_positive is None else s_positive[inner]
+    columns = [(c, None) for c in ("r_ts", "r_te", "r_p")]
+    columns += [(f"r_{c}", ~s_rows) for c in r_facts]
+    columns += [(f"s_{c}", s_rows) for c in s_facts]
+    for c, where in columns:
+        rows = inner if where is None else inner[where]
+        for col in (c, null_flag(c)):
+            if col in frame.columns:
+                _shared_lid(
+                    f"its group's rows disagree on {c}",
+                    r_lid[rows[_differs(frame[col].to_numpy(), rows)]],
+                )
+    o_ts, o_te = frame["o_ts"].to_numpy(), frame["o_te"].to_numpy()
+    same = (o_ts[inner] == o_ts[inner - 1]) & (o_te[inner] == o_te[inner - 1])
+    # a null s_lid in a group of several rows has failed above
+    same[same] = s_lid[inner[same]] == s_lid[inner[same] - 1]
+    _shared_lid("its group repeats a winit row", r_lid[inner[same]], s_lid[inner[same]])
+
+
+def _windows(
+    frame: pd.DataFrame,
+    with_negating: bool,
+    r_facts: Sequence[str],
+    s_facts: Sequence[str] = (),
+    s_positive: np.ndarray | None = None,
+) -> dict[str, Block]:
     """The LAWA_U (and, if ``with_negating``, LAWA_N) windows of every
     group of ``frame``, by kind. A group is a run of one ``r_lid`` and,
-    in the full outer join's rows, one ``side``."""
+    in the full outer join's rows, one ``side``. The groups are checked
+    by :func:`check_groups` with the other arguments."""
     n = len(frame)
     new_group = _starts(frame["r_lid"].to_numpy())
     if "side" in frame.columns:
         new_group |= _starts(frame["side"].to_numpy())
+    matched = frame["s_lid"].notna().to_numpy()
+    check_groups(frame, new_group, matched, r_facts, s_facts, s_positive)
     group = np.cumsum(new_group) - 1
     first = np.flatnonzero(new_group)
     last = np.append(first[1:], n) - 1
@@ -141,10 +218,6 @@ def _windows(frame: pd.DataFrame, with_negating: bool) -> dict[str, Block]:
     r_te = frame["r_te"].to_numpy(np.int64)
     o_ts = frame["o_ts"].to_numpy(np.int64)
     o_te = frame["o_te"].to_numpy(np.int64)
-    null = frame["s_lid"].isna().to_numpy()
-    if (null & (first != last)[group]).any():
-        raise ValueError("null-match winit row mixed with real matches in one group")
-    matched = ~null
 
     # Running max of o_te within each group. Ranks in (group, o_te)
     # order grow from one group to the next, so a plain running max of
@@ -157,7 +230,7 @@ def _windows(frame: pd.DataFrame, with_negating: bool) -> dict[str, Block]:
 
     gap = matched & (cursor < o_ts)
     tail = last[matched[last] & (upto[last] < r_te[last])]
-    lone = np.flatnonzero(null)
+    lone = np.flatnonzero(~matched)
     unmatched = _block(
         head=np.concatenate([lone, head[gap], tail]),
         ts=np.concatenate([r_ts[lone], cursor[gap], upto[tail]]),
@@ -211,6 +284,12 @@ def _negating(
         pa.table({"g": group, "lid": lid}),
         sort_keys=[("g", "ascending"), ("lid", "ascending")],
     ).to_numpy()
+    lid, by_group = lid.take(by_lid), group[by_lid]
+    twice = pc.equal(lid[1:], lid[:-1]).to_numpy(zero_copy_only=False)
+    _shared_lid(
+        "one positive tuple overlaps two negative tuples with it",
+        lid.take(np.flatnonzero(twice & (by_group[1:] == by_group[:-1]))).to_pylist(),
+    )
     start = point[:m][by_lid]
     count = point[m:][by_lid] - start
     total = int(count.sum())
@@ -321,7 +400,7 @@ def sweep(
 ) -> pd.DataFrame:
     """Every window of the complete groups in ``frame``, as rows of the
     window schema of :func:`repro.core.negation_joins.wuo`."""
-    by_kind = _windows(frame, with_negating)
+    by_kind = _windows(frame, with_negating, r_facts)
     w = _concat(list(by_kind.values()))
     out: dict[str, object] = {f"r_{c}": take(frame, f"r_{c}", w.head) for c in r_facts}
     out["r_lid"] = frame["r_lid"].to_numpy()[w.head]
@@ -356,7 +435,7 @@ def join_sweep(
         s_positive = frame["side"].to_numpy() == 1
     else:
         s_positive = np.full(len(frame), op == "right")
-    by_kind = _windows(frame, True)
+    by_kind = _windows(frame, True, r_facts, s_facts, s_positive)
     o = by_kind[KIND_OVERLAPPING]
     keep = (s_positive[o.src] == (op == "right")) & (op != "anti")
     by_kind[KIND_OVERLAPPING] = _block(

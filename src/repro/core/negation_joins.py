@@ -65,8 +65,7 @@ from pyspark.sql.types import (
     StructType,
 )
 
-from ..lineage.formula import conjunction_lineage, negation_lineage
-from ..lineage.probability import negation_probability
+from ..lineage import conjunction_lineage, negation_lineage, negation_probability
 from ..tp.model import fact_columns
 from . import columnar, lawa_u
 from .stream import map_group_frames
@@ -91,9 +90,17 @@ _TP_TYPES = {
 def _checked(
     r: DataFrame, s: DataFrame, op: str | None
 ) -> tuple[DataFrame, DataFrame]:
-    """``r`` and ``s`` with a null ``lid``/``ts``/``te``/``p`` or an
-    empty or inverted interval failing the query, naming the side
-    (:func:`_guarded`).
+    """``r`` and ``s`` with a null ``lid``/``ts``/``te``/``p``, an
+    empty or inverted interval or a ``p`` outside (0, 1] failing the
+    query, naming the side (:func:`_guarded`).
+
+    Two tuples of one relation that share a lid fail the query in the
+    sweep pass, naming the lid (:func:`repro.core.columnar.check_groups`),
+    wherever their winit rows meet in one group: as positive tuples
+    always, as negative tuples when one positive tuple overlaps both
+    under θ. Two negative tuples that share a lid but meet no positive
+    tuple together are not caught; that would take a distinct-lid check,
+    which costs a shuffle per input.
 
     Raises ``ValueError`` at the call for inputs that cannot make a
     valid plan: ``op`` not one of :data:`OPS`, a missing or mistyped
@@ -135,14 +142,18 @@ def _checked(
 
 def _guarded(df: DataFrame, side: str) -> DataFrame:
     """``df`` with a null ``lid``/``ts``/``te``/``p`` raising
-    "<side> has a null '<column>'" and a tuple with ``ts >= te``
-    raising "<side> has a tuple with ts >= te".
+    "<side> has a null '<column>'", a tuple with ``ts >= te`` raising
+    "<side> has a tuple with ts >= te" and one with ``p`` not in
+    ``(0, 1]`` (NaN included) raising "<side> has a tuple with p
+    outside (0, 1]".
 
     A null lid would read as "no match" in the winit rows, and a null
     interval or probability has no TP meaning. An empty or inverted
-    interval would make windows outside every tuple's interval. The
-    interval check sits on ``te`` and names a null ``ts`` itself, since
-    Spark may evaluate ``te`` before ``ts``. The trailing literal is
+    interval would make windows outside every tuple's interval, and a
+    ``p`` above 1 would make output probabilities negative. The interval
+    check sits on ``te`` and names a null ``ts`` itself, since Spark may
+    evaluate ``te`` before ``ts``. Spark orders NaN above every number,
+    so ``p <= 1`` rejects it. The trailing literal is
     never reached, but it makes the column non-nullable, so Spark drops
     the null checks from the θ∧overlap join condition, which it
     evaluates for every pair of rows under one equality key (a nullable
@@ -161,6 +172,11 @@ def _guarded(df: DataFrame, side: str) -> DataFrame:
                 f"CASE WHEN ts < te THEN te WHEN ts IS NULL THEN {fail('ts')} "
                 f"WHEN te IS NULL THEN {fail('te')} "
                 f"ELSE raise_error(\"{side} has a tuple with ts >= te\") END"
+            )
+        elif c == "p":
+            value = (
+                f"CASE WHEN p > 0 AND p <= 1 THEN p WHEN p IS NULL THEN {fail('p')} "
+                f"ELSE raise_error(\"{side} has a tuple with p outside (0, 1]\") END"
             )
         elif c in _TP_TYPES and fields[c].nullable:
             value = f"{c}, {fail(c)}"
@@ -306,8 +322,10 @@ def negation_join(r: DataFrame, s: DataFrame, theta: Theta, op: str) -> DataFram
     reducibility and change preservation (paper Section III).
     Raises ``ValueError`` for an unknown ``op``, a missing or mistyped
     ``lid``/``ts``/``te``/``p`` column or a fact column that clashes
-    with an output column. A null ``lid``/``ts``/``te``/``p`` or a
-    tuple with ``ts >= te`` fails the query when it runs.
+    with an output column. A null ``lid``/``ts``/``te``/``p``, a tuple
+    with ``ts >= te`` or with ``p`` outside (0, 1], or two tuples of one
+    relation with one lid (see :func:`_checked`) fail the query when it
+    runs.
     """
     r, s = _checked(r, s, op)
     return _run_sweeps(r, s, theta, op)

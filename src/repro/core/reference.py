@@ -27,8 +27,7 @@ from __future__ import annotations
 
 import pandas as pd
 
-from ..lineage.formula import conjunction_lineage, negation_lineage
-from ..lineage.probability import negation_probability
+from ..lineage import conjunction_lineage, negation_lineage, negation_probability
 from ..tp.model import fact_columns
 from .theta import Theta
 

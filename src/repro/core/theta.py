@@ -4,11 +4,10 @@ The paper's joins take a general predicate θ between the fact columns
 of the positive and negative relation (e.g. ``a.Loc = b.Loc`` for the
 running example; ``same Value_ID ∧ different Station_ID`` for the
 Meteo workload). A :class:`Theta` is a small declarative conjunction
-of column comparisons that can be rendered three ways:
+of column comparisons that can be rendered two ways:
 
 - a Spark ``Column`` for the conventional θ∧overlap join (NJ and TA);
-- a pure-Python pairwise predicate for the reference implementation;
-- a SQL snippet for the DuckDB oracle.
+- a pure-Python pairwise predicate for the reference implementation.
 
 Equality comparisons are listed first so Catalyst can extract them as
 equi-join keys (SortMergeJoin) and plan the residual comparisons as
@@ -107,13 +106,4 @@ class Theta:
             and not pd.isna(b := right_row[rcol])
             and _PY_OPS[op](a, b)
             for lcol, op, rcol in self.terms
-        )
-
-    def sql(self, left_alias: str, right_alias: str) -> str:
-        """θ as a SQL conjunction for the DuckDB oracle queries."""
-        if not self.terms:
-            return "TRUE"
-        return " AND ".join(
-            f"{left_alias}.{l} {'<>' if op == '!=' else op} {right_alias}.{r}"
-            for l, op, r in self.terms
         )

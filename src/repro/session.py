@@ -14,35 +14,30 @@ from pyspark.sql import SparkSession
 
 
 def _driver_mem() -> str:
-    """~75% of the container's memory limit, for the Spark driver JVM.
+    """~75% of the memory the driver may use, for the Spark driver JVM.
 
-    Precedence: SPARK_DRIVER_MEM env (explicit override) > cgroup v2/v1
-    limit > 48g fallback.
-
-    The cgroup read is best-effort: a sandboxed kernel's sysfs emulation
-    may not pass the host limit through. An unbounded value (cgroup-v1's
-    ~9.2e18 "unlimited" sentinel, or a missing limit) is treated as
-    absent so the JVM is never handed an impossible heap.
+    ``SPARK_DRIVER_MEM`` overrides it. Otherwise the base is the smaller
+    of physical memory and the cgroup v2/v1 limit. A limit that is not
+    a number ("max") or above physical memory (cgroup-v1's ~9.2e18
+    "unlimited" value) leaves physical memory as the base.
     """
     if m := os.environ.get("SPARK_DRIVER_MEM"):
         return m
+    base = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    src = f"physical={base}"
     for p in (
         "/sys/fs/cgroup/memory.max",
         "/sys/fs/cgroup/memory/memory.limit_in_bytes",
     ):
         try:
-            raw = open(p).read().strip()
-            if not raw or raw == "max":
-                continue
-            gib = int(raw) / (1 << 30)
-            if not (1 <= gib <= 1024):  # v1 "unlimited" → ~8.6e9 GiB
-                continue
-            os.environ["_SPARK_DRIVER_MEM_SRC"] = f"cgroup:{p}={raw}"
-            return f"{max(1, int(gib * 0.75))}g"
-        except (OSError, ValueError):
+            with open(p) as f:
+                raw = f.read().strip()
+        except OSError:
             continue
-    os.environ["_SPARK_DRIVER_MEM_SRC"] = "fallback"
-    return "48g"
+        if raw.isdigit() and int(raw) < base:
+            base, src = int(raw), f"cgroup:{p}={raw}"
+    os.environ["_SPARK_DRIVER_MEM_SRC"] = src
+    return f"{max(1, int(base * 0.75 / (1 << 30)))}g"
 
 
 def spark_session(app: str) -> SparkSession:

@@ -1,1 +1,1 @@
-"""The temporal-probabilistic data model: schema conventions, validation, and per-time-point snapshot semantics."""
+"""The temporal-probabilistic data model: schema conventions."""

@@ -1,4 +1,4 @@
-"""TP relation conventions and validation.
+"""TP relation conventions.
 
 A temporal-probabilistic relation (paper Section III) is represented
 as a DataFrame (Spark or pandas) with:
@@ -17,86 +17,9 @@ as a DataFrame (Spark or pandas) with:
 """
 from __future__ import annotations
 
-import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
-
 TP_COLS = ("lid", "ts", "te", "p")
 
 
 def fact_columns(df) -> list[str]:
     """The fact (non-TP-annotation) columns of a TP relation, in order."""
     return [c for c in df.columns if c not in TP_COLS]
-
-
-def tp_relation(spark: SparkSession, rows, fact_cols: list[str]) -> DataFrame:
-    """Build a Spark TP relation from ``(fact..., lid, ts, te, p)`` rows.
-
-    Convenience for tests and examples; column order is fact columns
-    followed by the TP annotation columns.
-    """
-    pdf = tp_pdf(rows, fact_cols)
-    return spark.createDataFrame(pdf)
-
-
-def tp_pdf(rows, fact_cols: list[str]) -> pd.DataFrame:
-    """Build a pandas TP relation from ``(fact..., lid, ts, te, p)`` rows."""
-    cols = list(fact_cols) + list(TP_COLS)
-    pdf = pd.DataFrame(list(rows), columns=cols)
-    pdf["ts"] = pdf["ts"].astype("int64")
-    pdf["te"] = pdf["te"].astype("int64")
-    pdf["p"] = pdf["p"].astype("float64")
-    return pdf
-
-
-def validate_tp_pdf(pdf: pd.DataFrame) -> None:
-    """Raise ``ValueError`` unless ``pdf`` is a well-formed TP relation.
-
-    Checks schema presence, interval sanity (``ts < te``), probability
-    domain ``(0, 1]``, lid uniqueness, and duplicate-freeness: the
-    intervals of any two tuples with the same fact must not overlap
-    (paper Section III).
-    """
-    for c in TP_COLS:
-        if c not in pdf.columns:
-            raise ValueError(f"missing TP column {c!r}")
-    if (pdf["ts"] >= pdf["te"]).any():
-        bad = pdf[pdf["ts"] >= pdf["te"]]
-        raise ValueError(f"empty/inverted intervals:\n{bad}")
-    if ((pdf["p"] <= 0) | (pdf["p"] > 1)).any():
-        raise ValueError("probabilities must lie in (0, 1]")
-    if pdf["lid"].duplicated().any():
-        dups = pdf.loc[pdf["lid"].duplicated(), "lid"].tolist()
-        raise ValueError(f"duplicate base-tuple ids: {dups}")
-    facts = fact_columns(pdf)
-    if facts:
-        ordered = pdf.sort_values(facts + ["ts"])
-        same_fact = (
-            (ordered[facts] == ordered[facts].shift()).all(axis=1)
-            if len(facts) > 1
-            else ordered[facts[0]].eq(ordered[facts[0]].shift())
-        )
-        overlaps = same_fact & (ordered["ts"] < ordered["te"].shift())
-        if overlaps.any():
-            raise ValueError(
-                "relation is not duplicate-free: overlapping intervals "
-                f"for equal facts\n{ordered[overlaps]}"
-            )
-
-
-def duplicate_free_violations(df: DataFrame) -> DataFrame:
-    """Spark-side duplicate-freeness check for large relations.
-
-    Returns the tuples whose interval overlaps the previous tuple of
-    the same fact (empty DataFrame ⇔ the relation is duplicate-free).
-    Implemented with a window sort per fact so it scales past what
-    :func:`validate_tp_pdf` can collect.
-    """
-    from pyspark.sql import Window, functions as F
-
-    facts = fact_columns(df)
-    w = Window.partitionBy(*facts).orderBy("ts", "te")
-    return (
-        df.withColumn("_prev_te", F.lag("te").over(w))
-        .where(F.col("_prev_te").isNotNull() & (F.col("ts") < F.col("_prev_te")))
-        .drop("_prev_te")
-    )

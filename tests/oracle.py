@@ -10,10 +10,16 @@ collected via ``.toPandas()``. Alias every output column identically
 on both sides (Spark names ``count(*)`` as ``count(1)``, DuckDB as
 ``count_star()``) and project to scalar columns — array/map/struct
 columns are not orderable so cannot be compared here.
+
+:func:`expand_df` and :func:`theta_sql` state a TP join result and θ
+in the per-time-point terms of snapshot reducibility (paper Section
+III), which the oracle's SQL queries are written in.
 """
 import duckdb
 import pandas as pd
-from pyspark.sql import DataFrame
+from pyspark.sql import DataFrame, functions as F
+
+from repro.core.theta import Theta
 
 
 def _canon(pdf: pd.DataFrame) -> pd.DataFrame:
@@ -40,4 +46,26 @@ def assert_equivalent(spark_df: DataFrame, sql: str, **tables) -> None:
     )
     pd.testing.assert_frame_equal(
         _canon(got), _canon(expected), check_dtype=False
+    )
+
+
+def expand_df(df: DataFrame) -> DataFrame:
+    """Per-time-point expansion of a Spark TP relation (or join result).
+
+    Each tuple valid over ``[ts, te)`` becomes ``te - ts`` rows with a
+    single ``t`` column replacing ``ts``/``te``.
+    """
+    return (
+        df.withColumn("t", F.explode(F.sequence(F.col("ts"), F.col("te") - 1)))
+        .drop("ts", "te")
+    )
+
+
+def theta_sql(theta: Theta, left_alias: str, right_alias: str) -> str:
+    """θ as a SQL conjunction over two table aliases."""
+    if not theta.terms:
+        return "TRUE"
+    return " AND ".join(
+        f"{left_alias}.{l} {'<>' if op == '!=' else op} {right_alias}.{r}"
+        for l, op, r in theta.terms
     )

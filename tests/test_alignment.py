@@ -11,7 +11,7 @@ from repro.baselines.alignment import (
 from repro.core.negation_joins import all_windows, negation_join, wuo
 from repro.core.theta import Theta
 from repro.synth_data import random_tp_pdf, tp_workload_pdf
-from util import joins, norm, paper_a, paper_b, plan_nodes, rows
+from util import joins, norm, paper_a, paper_b, plan_nodes, rows, tp_relation
 
 THETA = Theta.of(("loc", "=", "loc"))
 
@@ -33,8 +33,6 @@ class TestOperators:
 
     def test_align_deduplicates_equal_fragments(self, spark):
         """Two matches with the same intersection yield one fragment."""
-        from repro.tp.model import tp_relation
-
         r = tp_relation(spark, [(1, "u", "a0", 0, 10, 0.5)], ["k", "sub"])
         s = tp_relation(
             spark,

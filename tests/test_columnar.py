@@ -23,8 +23,7 @@ from repro.core.reference import reference_negation_join
 from repro.core.stream import group_frames, iter_groups
 from repro.core.theta import Theta
 from repro.core.windows import NO_OVERLAP, winit
-from repro.tp.model import tp_pdf
-from util import rows
+from util import rows, tp_pdf
 
 R_FACTS, S_FACTS = ["name", "k"], ["name", "k"]
 INTEGRAL = ["r_k", "s_k"]
@@ -280,6 +279,20 @@ def test_null_match_row_mixed_with_matches_is_rejected():
     )
     with pytest.raises(ValueError, match="null-match"):
         columnar.join_sweep(frame, [], [], "left")
+
+
+def test_repeated_winit_row_is_rejected():
+    """Two equal r tuples a1 that overlap b1, or two s tuples b1 that
+    overlap a1 alike, repeat a winit row; W_UO, which has no LAWA_N
+    pass, rejects it too, naming both lids."""
+    frame = pd.DataFrame(
+        {
+            "r_lid": ["a1", "a1"], "r_p": [0.5, 0.5], "r_ts": [0, 0], "r_te": [9, 9],
+            "s_lid": ["b1", "b1"], "s_p": [0.5, 0.5], "o_ts": [2, 2], "o_te": [4, 4],
+        }
+    )
+    with pytest.raises(ValueError, match="share the lid 'a1' or the lid 'b1'"):
+        columnar.sweep(frame, [], [], with_negating=False)
 
 
 # ---------------------------------------------------------------------------

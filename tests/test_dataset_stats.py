@@ -2,8 +2,8 @@
 import pytest
 
 from repro.bench.dataset_stats import concurrency_profile, dataset_stats
-from repro.oracle import assert_equivalent
 from repro.synth_data import webkit_lite_pdf
+from oracle import assert_equivalent
 from util import paper_a, paper_b
 
 

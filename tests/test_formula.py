@@ -1,16 +1,8 @@
 """Unit tests for the lineage formula AST and its serialization."""
 import pytest
 
-from repro.lineage.formula import (
-    And,
-    Not,
-    Or,
-    Var,
-    conjunction_lineage,
-    negation_lineage,
-    parse,
-    serialize,
-)
+from repro.lineage import conjunction_lineage, negation_lineage
+from worlds import And, Not, Or, Var, parse, serialize
 
 
 @pytest.mark.parametrize(

@@ -2,15 +2,8 @@
 import pandas as pd
 import pytest
 
-from repro.tp.model import (
-    TP_COLS,
-    duplicate_free_violations,
-    fact_columns,
-    tp_pdf,
-    tp_relation,
-    validate_tp_pdf,
-)
-from util import paper_a, paper_b
+from repro.tp.model import TP_COLS, fact_columns
+from util import paper_a, paper_b, tp_pdf, validate_tp_pdf
 
 
 def test_fact_columns_excludes_annotations():
@@ -77,14 +70,3 @@ def test_validate_accepts_adjacent_same_fact():
 def test_validate_accepts_overlap_across_facts():
     validate_tp_pdf(tp_pdf([("x", "a1", 0, 5, 0.5), ("y", "a2", 2, 8, 0.5)], ["k"]))
 
-
-def test_duplicate_free_violations_spark(spark):
-    clean = tp_relation(
-        spark, [("x", "a1", 0, 5, 0.5), ("x", "a2", 5, 8, 0.5)], ["k"]
-    )
-    assert duplicate_free_violations(clean).count() == 0
-    dirty = tp_relation(
-        spark, [("x", "a1", 0, 5, 0.5), ("x", "a2", 4, 8, 0.5)], ["k"]
-    )
-    bad = duplicate_free_violations(dirty).collect()
-    assert [b["lid"] for b in bad] == ["a2"]

@@ -6,17 +6,15 @@ import pandas as pd
 import pytest
 from hypothesis import given, settings, strategies as st
 from py4j.protocol import Py4JJavaError
-from pyspark.errors import SparkRuntimeException
+from pyspark.errors import PythonException, SparkRuntimeException
 
 from repro.baselines.alignment import ta_negation_join
 from repro.core.negation_joins import all_windows, negation_join, wuo
 from repro.core.reference import reference_negation_join
 from repro.core.theta import Theta
-from repro.oracle import assert_equivalent
 from repro.synth_data import random_tp_pdf, tp_workload_pdf
-from repro.tp.model import tp_pdf, validate_tp_pdf
-from repro.tp.snapshot import expand_df
-from util import joins, norm, paper_a, paper_b, plan_nodes, rows
+from oracle import assert_equivalent, expand_df, theta_sql
+from util import joins, norm, paper_a, paper_b, plan_nodes, rows, tp_pdf, validate_tp_pdf
 
 THETA = Theta.of(("loc", "=", "loc"))
 
@@ -357,6 +355,58 @@ def test_empty_or_inverted_interval_fails_naming_side(spark, side, ts, te):
             join(r, s, Theta.equi("k"), "left").collect()
 
 
+@pytest.mark.parametrize("side", ["r", "s"])
+@pytest.mark.parametrize("p", [0.0, 1.5, float("nan")], ids=["zero", "above-one", "nan"])
+def test_p_outside_unit_interval_fails_naming_side(spark, side, p):
+    """A tuple with p outside (0, 1], NaN included, fails the query with
+    a message that names the side, in NJ and in TA, instead of coming
+    back as an impossible probability or an opaque JVM error."""
+    data = {"r": ("x", "a1", 0, 10, 0.5), "s": ("x", "b1", 2, 4, 0.4)}
+    data[side] = (*data[side][:4], p)
+    r = spark.createDataFrame([data["r"]], OK)
+    s = spark.createDataFrame([data["s"]], OK)
+    raised = (SparkRuntimeException, Py4JJavaError)
+    for join in (negation_join, ta_negation_join):
+        with pytest.raises(raised, match=rf"{side} has a tuple with p outside \(0, 1\]"):
+            join(r, s, Theta.equi("k"), "left").collect()
+
+
+SHARED_LIDS = {  # id: (r rows, s rows, the shared lid); θ is empty
+    # two tuples share a lid, and the other relation's tuple overlaps both
+    "r-tuples-differ": (
+        [("x", "a1", 0, 10, 0.5), ("y", "a1", 5, 30, 0.6)], [("x", "b1", 2, 8, 0.4)], "a1",
+    ),
+    "s-tuples-differ": (
+        [("x", "a1", 2, 8, 0.4)], [("x", "b1", 0, 10, 0.5), ("y", "b1", 5, 30, 0.6)], "b1",
+    ),
+    # equal intervals and p, different facts: the winit rows repeat
+    "r-facts-differ": (
+        [("x", "a1", 0, 10, 0.5), ("y", "a1", 0, 10, 0.5)], [("x", "b1", 2, 4, 0.4)], "a1",
+    ),
+    "s-facts-differ": (
+        [("x", "a1", 2, 4, 0.4)], [("x", "b1", 0, 10, 0.5), ("y", "b1", 0, 10, 0.5)], "b1",
+    ),
+}
+
+
+@pytest.mark.parametrize("op", ["anti", "left", "right", "full"])
+@pytest.mark.parametrize("case", SHARED_LIDS.values(), ids=SHARED_LIDS.keys())
+def test_shared_lid_fails_naming_it(spark, case, op):
+    """Two tuples of one relation with one lid fail the query with a
+    message that names the lid, in NJ and (left join) in TA, instead of
+    being swept as one tuple. The tuple of the other relation overlaps
+    both, so their rows meet in one group whichever side is positive."""
+    r_rows, s_rows, lid = case
+    r = spark.createDataFrame(r_rows, OK)
+    s = spark.createDataFrame(s_rows, OK)
+    operators = [negation_join] + ([ta_negation_join] if op == "left" else [])
+    # TA's failing stages reach Python as one raw Java error
+    raised = (PythonException, Py4JJavaError)
+    for join in operators:
+        with pytest.raises(raised, match=f"share the lid .*'{lid}'"):
+            join(r, s, Theta.of(), op).collect()
+
+
 THETAS = [  # with an equality term, with only < or !=, empty
     Theta.equi("k"), Theta.of(("k", "<", "k")), Theta.of(("k", "!=", "k")), Theta.of(),
 ]
@@ -434,7 +484,7 @@ class TestOracle:
             SELECT rt.file_path, rt.t AS t,
                    rt.p * coalesce(product(1.0 - st.p), 1.0) AS p
             FROM rt LEFT JOIN st
-              ON {theta.sql('rt', 'st')} AND rt.t = st.t
+              ON {theta_sql(theta, 'rt', 'st')} AND rt.t = st.t
             GROUP BY rt.file_path, rt.t, rt.p
             """,
             r=r_pdf,
@@ -457,7 +507,7 @@ class TestOracle:
             SELECT rt.station_id, rt.value_id, rt.t AS t,
                    rt.p * coalesce(product(1.0 - st.p), 1.0) AS p
             FROM rt LEFT JOIN st
-              ON {theta.sql('rt', 'st')} AND rt.t = st.t
+              ON {theta_sql(theta, 'rt', 'st')} AND rt.t = st.t
             GROUP BY rt.station_id, rt.value_id, rt.t, rt.p
             """,
             r=r_pdf,
@@ -481,7 +531,7 @@ class TestOracle:
             SELECT rt.file_path AS r_file_path, st.file_path AS s_file_path,
                    rt.t AS t, rt.p * st.p AS p
             FROM rt JOIN st
-              ON {theta.sql('rt', 'st')} AND rt.t = st.t
+              ON {theta_sql(theta, 'rt', 'st')} AND rt.t = st.t
             """,
             r=r_pdf,
             s=s_pdf,

@@ -1,59 +1,12 @@
-"""Unit tests for exact lineage probability valuation."""
+"""The closed-form negation probability against the possible-worlds
+valuation of its lineage."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.lineage.formula import parse
-from repro.lineage.probability import (
-    is_read_once,
-    negation_probability,
-    probability,
-    probability_enumerate,
-)
+from repro.lineage import negation_probability
+from worlds import probability_enumerate
 
 PROBS = {"a": 0.7, "b": 0.6, "c": 0.9, "d": 0.25}
-
-
-@pytest.mark.parametrize(
-    "text, expected",
-    [
-        ("a", 0.7),
-        ("~a", 0.3),
-        ("a & b", 0.42),
-        ("a | b", 1 - 0.3 * 0.4),
-        ("a & ~b", 0.7 * 0.4),
-        ("a & ~(b | c)", 0.7 * 0.4 * 0.1),
-        ("(a | b) & ~c", (1 - 0.3 * 0.4) * 0.1),
-    ],
-)
-def test_read_once_closed_forms(text, expected):
-    assert probability(text, PROBS) == pytest.approx(expected)
-
-
-@pytest.mark.parametrize(
-    "text",
-    ["a", "~a", "a & b", "a | b", "a & ~(b | c)", "(a | b) & (c | d)", "~(a & b) | c"],
-)
-def test_read_once_matches_enumeration(text):
-    assert probability(text, PROBS) == pytest.approx(
-        probability_enumerate(text, PROBS)
-    )
-
-
-@pytest.mark.parametrize(
-    "text, ro", [("a & b", True), ("a & a", False), ("a | (a & b)", False), ("a & ~(b | c)", True)]
-)
-def test_is_read_once(text, ro):
-    assert is_read_once(parse(text)) is ro
-
-
-def test_probability_rejects_repeated_variables():
-    with pytest.raises(ValueError, match="read-once"):
-        probability("a & a", PROBS)
-
-
-def test_probability_rejects_unknown_variable():
-    with pytest.raises(ValueError, match="no probability"):
-        probability("z", PROBS)
 
 
 def test_enumeration_handles_repeated_variables():
@@ -92,33 +45,3 @@ def test_negation_probability_equals_formula_valuation(ps, p_r):
         probability_enumerate(text, probs)
     )
 
-
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_random_read_once_formula_matches_enumeration(data):
-    """Build a random read-once tree and check both evaluators agree."""
-    counter = [0]
-
-    def fresh():
-        counter[0] += 1
-        return f"v{counter[0]}"
-
-    def build(depth):
-        kind = data.draw(
-            st.sampled_from(["var"] if depth >= 3 else ["var", "not", "and", "or"])
-        )
-        if kind == "var":
-            return fresh()
-        if kind == "not":
-            return f"~({build(depth + 1)})"
-        op = " & " if kind == "and" else " | "
-        return "(" + op.join(build(depth + 1) for _ in range(2)) + ")"
-
-    text = build(0)
-    probs = {
-        f"v{i}": data.draw(st.floats(min_value=0.01, max_value=0.99))
-        for i in range(1, counter[0] + 1)
-    }
-    assert probability(text, probs) == pytest.approx(
-        probability_enumerate(text, probs)
-    )

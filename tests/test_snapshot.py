@@ -1,33 +1,6 @@
-"""Tests for per-time-point snapshot expansion (incl. DuckDB oracle)."""
-import pytest
-
-from repro.oracle import assert_equivalent
-from repro.tp.snapshot import expand_df, expand_pdf
-from util import paper_a, paper_b, rows
-
-
-def test_expand_pdf_row_count_is_total_duration():
-    pdf = paper_a()
-    assert len(expand_pdf(pdf)) == int((pdf["te"] - pdf["ts"]).sum())
-
-
-def test_expand_pdf_timepoints():
-    out = expand_pdf(paper_a())
-    a1 = out[out["lid"] == "a1"]
-    assert sorted(a1["t"]) == list(range(2, 8))
-
-
-def test_expand_pdf_drops_interval_columns():
-    out = expand_pdf(paper_a())
-    assert "ts" not in out.columns and "te" not in out.columns
-    assert out["t"].dtype == "int64"
-
-
-@pytest.mark.parametrize("which", ["a", "b"])
-def test_expand_df_matches_expand_pdf(spark, which):
-    pdf = paper_a() if which == "a" else paper_b()
-    got = expand_df(spark.createDataFrame(pdf))
-    assert rows(got) == rows(expand_pdf(pdf)[got.columns])
+"""The per-time-point expansion of the DuckDB oracle's queries."""
+from oracle import assert_equivalent, expand_df
+from util import paper_b
 
 
 def test_expand_df_against_duckdb_oracle(spark):

@@ -9,7 +9,7 @@ from repro.synth_data import (
     tp_workload_pdf,
     webkit_lite_pdf,
 )
-from repro.tp.model import validate_tp_pdf
+from util import validate_tp_pdf
 
 
 class TestWebkitLite:

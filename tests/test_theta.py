@@ -2,6 +2,7 @@
 import pytest
 
 from repro.core.theta import Theta
+from oracle import theta_sql
 
 
 def test_of_and_equi_builders():
@@ -55,13 +56,13 @@ def test_matches_is_conjunction():
 
 def test_empty_theta_matches_everything():
     assert Theta.of().matches({}, {})
-    assert Theta.of().sql("l", "r") == "TRUE"
+    assert theta_sql(Theta.of(), "l", "r") == "TRUE"
 
 
 def test_sql_rendering():
     t = Theta.of(("value_id", "=", "value_id"), ("station_id", "!=", "station_id"))
     assert (
-        t.sql("l", "r")
+        theta_sql(t, "l", "r")
         == "l.value_id = r.value_id AND l.station_id <> r.station_id"
     )
 

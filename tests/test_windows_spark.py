@@ -4,8 +4,8 @@ import pytest
 from repro.core.negation_joins import all_windows, wuo
 from repro.core.theta import Theta
 from repro.core.windows import NO_OVERLAP, winit
-from repro.oracle import assert_equivalent
 from repro.synth_data import tp_workload_pdf
+from oracle import assert_equivalent, theta_sql
 from util import norm, paper_a, paper_b, rows
 
 THETA = Theta.of(("loc", "=", "loc"))
@@ -48,7 +48,7 @@ def test_winit_against_duckdb_oracle(spark, kind, n):
     r_pdf, s_pdf, theta = tp_workload_pdf(kind, n, seed=7)
     r, s = spark.createDataFrame(r_pdf), spark.createDataFrame(s_pdf)
     x = winit(r, s, theta).select("r_lid", "s_lid", "o_ts", "o_te")
-    facts = theta.sql("r", "s")
+    facts = theta_sql(theta, "r", "s")
     assert_equivalent(
         x,
         f"""

@@ -4,8 +4,65 @@ from __future__ import annotations
 import re
 
 import pandas as pd
+from pyspark.sql import DataFrame, SparkSession
 
-from repro.tp.model import tp_pdf
+from repro.tp.model import TP_COLS, fact_columns
+
+# ---------------------------------------------------------------------------
+# TP relations from rows, and their validation
+# ---------------------------------------------------------------------------
+
+
+def tp_pdf(rows, fact_cols: list[str]) -> pd.DataFrame:
+    """Build a pandas TP relation from ``(fact..., lid, ts, te, p)`` rows."""
+    cols = list(fact_cols) + list(TP_COLS)
+    pdf = pd.DataFrame(list(rows), columns=cols)
+    pdf["ts"] = pdf["ts"].astype("int64")
+    pdf["te"] = pdf["te"].astype("int64")
+    pdf["p"] = pdf["p"].astype("float64")
+    return pdf
+
+
+def tp_relation(spark: SparkSession, rows, fact_cols: list[str]) -> DataFrame:
+    """Build a Spark TP relation from ``(fact..., lid, ts, te, p)`` rows:
+    fact columns followed by the TP annotation columns."""
+    return spark.createDataFrame(tp_pdf(rows, fact_cols))
+
+
+def validate_tp_pdf(pdf: pd.DataFrame) -> None:
+    """Raise ``ValueError`` unless ``pdf`` is a well-formed TP relation.
+
+    Checks schema presence, interval sanity (``ts < te``), probability
+    domain ``(0, 1]``, lid uniqueness, and duplicate-freeness: the
+    intervals of any two tuples with the same fact must not overlap
+    (paper Section III).
+    """
+    for c in TP_COLS:
+        if c not in pdf.columns:
+            raise ValueError(f"missing TP column {c!r}")
+    if (pdf["ts"] >= pdf["te"]).any():
+        bad = pdf[pdf["ts"] >= pdf["te"]]
+        raise ValueError(f"empty/inverted intervals:\n{bad}")
+    if ((pdf["p"] <= 0) | (pdf["p"] > 1)).any():
+        raise ValueError("probabilities must lie in (0, 1]")
+    if pdf["lid"].duplicated().any():
+        dups = pdf.loc[pdf["lid"].duplicated(), "lid"].tolist()
+        raise ValueError(f"duplicate base-tuple ids: {dups}")
+    facts = fact_columns(pdf)
+    if facts:
+        ordered = pdf.sort_values(facts + ["ts"])
+        same_fact = (
+            (ordered[facts] == ordered[facts].shift()).all(axis=1)
+            if len(facts) > 1
+            else ordered[facts[0]].eq(ordered[facts[0]].shift())
+        )
+        overlaps = same_fact & (ordered["ts"] < ordered["te"].shift())
+        if overlaps.any():
+            raise ValueError(
+                "relation is not duplicate-free: overlapping intervals "
+                f"for equal facts\n{ordered[overlaps]}"
+            )
+
 
 # ---------------------------------------------------------------------------
 # the paper's running example (Fig. 1a)

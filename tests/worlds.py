@@ -1,17 +1,20 @@
-"""Lineage expressions: Boolean formulas over base-tuple variables.
+"""The possible-worlds oracle: lineage formulas and their exact
+probability by enumeration.
 
 A lineage expression (paper Section III) is a Boolean formula built
 from tuple identifiers and the connectives ``~`` (not), ``&`` (and),
 ``|`` (or). Base-tuple identifiers are independent Boolean random
-variables. The TP join operators of this repo only ever *produce*
-formulas of three shapes (one per window set, paper Section V):
+variables. The TP join operators only ever *produce* formulas of three
+shapes (one per window set, paper Section V), which ``repro.lineage``
+renders and values in closed form:
 
 - unmatched:    ``r``
 - overlapping:  ``r & s``
 - negating:     ``r & ~(s1 | s2 | ...)``
 
-but this module supports the full connective language so the reference
-implementation and the tests can manipulate arbitrary formulas.
+This module parses any formula of the full connective language and
+values it by summing over all possible worlds, so the tests can check
+those closed forms against the definition.
 
 Serialization grammar (round-trippable via :func:`parse`)::
 
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterator
 
 
@@ -227,25 +231,26 @@ def parse(text: str) -> Formula:
     return f
 
 
+
 # ---------------------------------------------------------------------------
-# construction helpers used by the join operators
+# valuation
 # ---------------------------------------------------------------------------
 
-def negation_lineage(r_lid: str, s_lids: list[str]) -> str:
-    """Serialize the negating-window lineage ``r & ~(s1 | s2 | ...)``.
+def probability_enumerate(f: Formula | str, probs: dict[str, float]) -> float:
+    """Exact probability of an arbitrary formula by possible-worlds sum.
 
-    ``s_lids`` are sorted for a deterministic, canonical rendering —
-    disjunction order carries no meaning (paper: within a group "the
-    order of tuples with equal starting points does not matter").
+    Exponential in the number of variables — small formulas only.
     """
-    if not s_lids:
-        raise ValueError("negating lineage requires >= 1 negative tuple")
-    inner = " | ".join(sorted(s_lids))
-    if len(s_lids) == 1:
-        return f"{r_lid} & ~{inner}"
-    return f"{r_lid} & ~({inner})"
-
-
-def conjunction_lineage(r_lid: str, s_lid: str) -> str:
-    """Serialize the overlapping-window lineage ``r & s``."""
-    return f"{r_lid} & {s_lid}"
+    if isinstance(f, str):
+        f = parse(f)
+    names = sorted(f.variables())
+    total = 0.0
+    for values in product((True, False), repeat=len(names)):
+        assignment = dict(zip(names, values))
+        if f.evaluate(assignment):
+            w = 1.0
+            for name, value in assignment.items():
+                p = probs[name]
+                w *= p if value else (1.0 - p)
+            total += w
+    return total
