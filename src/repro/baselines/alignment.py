@@ -29,7 +29,7 @@ Each operator's splitting step runs in the same pass as the NJ sweeps
 (:func:`repro.core.stream.map_group_frames`): frames of whole r-tuple
 groups, which TA splits one group at a time in plain Python
 (:func:`_fragments`), sharing no window code with NJ's columnar kernel
-— only its null-flag codec for integral facts. TA's right and full
+— only its check that each group holds one tuple. TA's right and full
 outer joins are composed from its anti and left joins, as in the paper:
 the right join is the left join of the swapped arguments, and the full
 join adds to the left join the anti join of s by r. NJ makes one
@@ -128,16 +128,14 @@ def _fragment_pass(
                 f_ts.append(ts)
                 f_te.append(te)
         head = np.array(head, np.int64)
-        out = {c[2:]: columnar.take(frame, c, head) for c in facts}
+        out = {c[2:]: frame[c].array.take(head) for c in facts}
         for c, col in (("lid", "r_lid"), ("p", "r_p"),
                        ("orig_ts", "r_ts"), ("orig_te", "r_te")):
             out[c] = frame[col].to_numpy()[head]
         out["f_ts"], out["f_te"] = f_ts, f_te
         return pd.DataFrame(out)
 
-    return map_group_frames(
-        columnar.carry_integral_nulls(x, facts), split, _fragment_schema(target)
-    )
+    return map_group_frames(x, split, _fragment_schema(target))
 
 
 def align(r: DataFrame, s: DataFrame, theta: Theta) -> DataFrame:

@@ -9,7 +9,8 @@ Usage: python -m repro.bench <table> [args]
     e4 [webkit|meteo|both]     Fig. 14, NJ left outer join breakdown
     e5                         Fig. 15, NJ scalability
 
-The workload argument defaults to ``both``.
+The workload argument defaults to ``both``. Bad arguments print this
+usage and exit with status 2 before Spark starts.
 """
 from __future__ import annotations
 
@@ -35,21 +36,36 @@ TABLES = {
 }
 
 
-def run(spark, table: str, args: list[str]) -> None:
-    """Run ``table`` with its command-line ``args``."""
-    fn = TABLES[table]
+KINDS = {"webkit": ("webkit",), "meteo": ("meteo",), "both": ("webkit", "meteo")}
+
+
+def calls(table: str, args: list[str]) -> list[tuple] | None:
+    """The arguments after the session that ``table`` runs with, one
+    tuple per call, for its command-line ``args``; None if ``table`` or
+    ``args`` are not valid."""
     if table == "table4":
-        fn(spark, *map(int, args))
+        if not args:
+            return [()]
+        if len(args) == 1 and args[0].isdecimal() and int(args[0]) > 0:
+            return [(int(args[0]),)]
     elif table == "e5":
-        fn(spark)
-    else:
-        which = args[0] if args else "both"
-        for kind in ("webkit", "meteo") if which == "both" else (which,):
-            fn(spark, kind)
+        if not args:
+            return [()]
+    elif table in TABLES and len(args) <= 1:
+        kinds = KINDS.get(args[0] if args else "both")
+        if kinds:
+            return [(kind,) for kind in kinds]
+    return None
+
+
+def run(spark, table: str, args: list[str]) -> None:
+    """Run ``table`` with its command-line ``args``, checked by :func:`calls`."""
+    for call in calls(table, args):
+        TABLES[table](spark, *call)
 
 
 def main(argv: list[str]) -> int:
-    if not argv or argv[0] not in TABLES:
+    if not argv or calls(argv[0], argv[1:]) is None:
         print(__doc__, file=sys.stderr)
         return 2
     spark = spark_session(f"repro-{argv[0]}")

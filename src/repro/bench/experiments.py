@@ -20,7 +20,7 @@ from ..baselines.alignment import ta_negation_join, ta_nu, ta_wuo
 from ..core.negation_joins import all_windows, negation_join, wuo
 from ..core.windows import winit
 from ..synth_data import tp_workload
-from .dataset_stats import dataset_stats
+from .dataset_stats import STAT_ROWS, dataset_stats
 from .harness import Table, materialize, time_action
 
 WEBKIT_SIZES = (2_000, 4_000, 8_000, 16_000)
@@ -64,6 +64,7 @@ def table4_dataset_stats(spark: SparkSession, n: int = 20_000) -> Table:
     t = Table(
         "Table IV — dataset properties (webkit-lite / meteo-lite)",
         ["property", "webkit_lite", "meteo_lite"],
+        width=max(map(len, STAT_ROWS)),
     )
     print(t.header())
     stats = {}

@@ -39,10 +39,17 @@ def time_action(build, *, runs: int = 1) -> tuple[float, int]:
 
 @dataclass
 class Table:
-    """An aligned, Markdown-ish results table accumulated row by row."""
+    """An aligned, Markdown-ish results table accumulated row by row.
+
+    Rows are printed as they are added, after :meth:`header`, so every
+    column's width is fixed up front: at least ``width`` characters and
+    the length of its name. A cell wider than that shifts the rest of
+    its line.
+    """
 
     title: str
     columns: list[str]
+    width: int = 10
     rows: list[list[str]] = field(default_factory=list)
 
     def add(self, *values) -> None:
@@ -53,14 +60,11 @@ class Table:
         print(self._format_row(formatted))
 
     def _widths(self) -> list[int]:
-        cells = [self.columns] + self.rows
-        return [max(len(r[i]) for r in cells) for i in range(len(self.columns))]
+        return [max(len(c), self.width) for c in self.columns]
 
     def _format_row(self, row: list[str]) -> str:
         return " | ".join(c.rjust(w) for c, w in zip(row, self._widths()))
 
     def header(self) -> str:
-        w = self._widths()
-        head = " | ".join(c.rjust(x) for c, x in zip(self.columns, w))
-        rule = "-+-".join("-" * x for x in w)
-        return f"\n== {self.title} ==\n{head}\n{rule}"
+        rule = "-+-".join("-" * w for w in self._widths())
+        return f"\n== {self.title} ==\n{self._format_row(self.columns)}\n{rule}"

@@ -33,11 +33,9 @@ Groups are keyed by lid, so each must hold one positive tuple:
 :func:`check_groups` fails the frame, naming the lid, where two tuples
 of one relation share it and their rows meet in one group.
 
-Integral fact columns reach the kernel null-free, as the value (nulls
-replaced by 0) plus a boolean :func:`null_flag` column; pandas would
-otherwise turn an integral column with nulls into float64 and round
-values beyond 2^53. :func:`carry_integral_nulls` does the Spark side,
-and the kernel restores the nulls in its output.
+Nullable integral facts arrive as exact pandas ``Int64`` columns, and
+the kernel moves every fact column with ``Series.array.take``, which
+keeps them exact; row -1 there is null.
 """
 from __future__ import annotations
 
@@ -48,40 +46,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
-from pyspark.sql import DataFrame, functions as F
-from pyspark.sql.types import IntegralType
 
 from .lawa_u import KIND_NEGATING, KIND_OVERLAPPING, KIND_UNMATCHED
-
-
-def null_flag(column: str) -> str:
-    """The boolean column that carries the nulls of integral ``column``.
-
-    winit columns all start with ``r_``, ``s_`` or ``o_``, so the flag
-    cannot collide with one of them.
-    """
-    return f"null_{column}"
-
-
-def carry_integral_nulls(x: DataFrame, columns: list[str]) -> DataFrame:
-    """Replace each nullable integral column of ``columns`` in ``x`` by
-    its value with nulls as 0, and add its :func:`null_flag` column."""
-    fields = {f.name: f for f in x.schema.fields}
-    integral = [
-        c for c in columns
-        if isinstance(fields[c].dataType, IntegralType) and fields[c].nullable
-    ]
-    if not integral:
-        return x
-    return x.select(
-        *[
-            F.coalesce(F.col(c), F.lit(0).cast(fields[c].dataType)).alias(c)
-            if c in integral
-            else F.col(c)
-            for c in x.columns
-        ],
-        *[F.col(c).isNull().alias(null_flag(c)) for c in integral],
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -139,11 +105,13 @@ def _shared_lid(why: str, *lids: np.ndarray) -> None:
         raise ValueError(f"two tuples of one relation share the lid {names}: {why}")
 
 
-def _differs(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Whether ``values`` at ``rows`` differ from the row before; two
-    nulls are equal."""
+def _differs(values, rows: np.ndarray) -> np.ndarray:
+    """Whether ``values`` (a column's ``.values``) at ``rows`` differ
+    from the row before; two nulls are equal."""
     a, b = values[rows], values[rows - 1]
     out = a != b
+    if isinstance(out, pd.arrays.BooleanArray):  # Int64: NA where a null meets a value
+        out = out.to_numpy(bool, na_value=True)
     if out.any():
         out &= ~(pd.isna(a) & pd.isna(b))
     return out
@@ -180,12 +148,10 @@ def check_groups(
     columns += [(f"s_{c}", s_rows) for c in s_facts]
     for c, where in columns:
         rows = inner if where is None else inner[where]
-        for col in (c, null_flag(c)):
-            if col in frame.columns:
-                _shared_lid(
-                    f"its group's rows disagree on {c}",
-                    r_lid[rows[_differs(frame[col].to_numpy(), rows)]],
-                )
+        _shared_lid(
+            f"its group's rows disagree on {c}",
+            r_lid[rows[_differs(frame[c].values, rows)]],
+        )
     o_ts, o_te = frame["o_ts"].to_numpy(), frame["o_te"].to_numpy()
     same = (o_ts[inner] == o_ts[inner - 1]) & (o_te[inner] == o_te[inner - 1])
     # a null s_lid in a group of several rows has failed above
@@ -326,21 +292,6 @@ def _concat(blocks: list[Block]) -> Block:
     )
 
 
-def take(frame: pd.DataFrame, column: str, rows: np.ndarray):
-    """``frame[column]`` at ``rows`` as a pandas array; row -1 is null.
-
-    An integral column carried by :func:`carry_integral_nulls` comes
-    back as a nullable ``IntegerArray`` with its nulls restored.
-    """
-    flag = null_flag(column)
-    if flag in frame.columns:
-        at = np.maximum(rows, 0)
-        return pd.arrays.IntegerArray(
-            frame[column].to_numpy()[at], frame[flag].to_numpy()[at] | (rows < 0)
-        )
-    return frame[column].array.take(rows, allow_fill=True)
-
-
 def _lists(offsets: np.ndarray, values: pa.Array) -> pa.ListArray:
     return pa.ListArray.from_arrays(pa.array(offsets, pa.int32()), values)
 
@@ -402,12 +353,14 @@ def sweep(
     window schema of :func:`repro.core.negation_joins.wuo`."""
     by_kind = _windows(frame, with_negating, r_facts)
     w = _concat(list(by_kind.values()))
-    out: dict[str, object] = {f"r_{c}": take(frame, f"r_{c}", w.head) for c in r_facts}
+    out: dict[str, object] = {
+        f"r_{c}": frame[f"r_{c}"].array.take(w.head) for c in r_facts
+    }
     out["r_lid"] = frame["r_lid"].to_numpy()[w.head]
     out["r_p"] = frame["r_p"].to_numpy(np.float64)[w.head]
     out["w_ts"], out["w_te"] = w.ts, w.te
     for c in s_facts:
-        out[f"s_{c}"] = take(frame, f"s_{c}", w.src)
+        out[f"s_{c}"] = frame[f"s_{c}"].array.take(w.src, allow_fill=True)
     s_p = frame["s_p"].to_numpy(np.float64)
     s_lid = pa.array(frame["s_lid"].to_numpy(), pa.string())
     out["s_lids"] = _lists(w.offsets, s_lid.take(w.members)).to_pandas()
@@ -450,10 +403,13 @@ def join_sweep(
     of_s = s_positive[w.head]
     r_rows = np.where(of_s, w.src, w.head)
     facts = {
-        (c if op == "anti" else f"r_{c}"): take(frame, f"r_{c}", r_rows)
+        (c if op == "anti" else f"r_{c}"):
+            frame[f"r_{c}"].array.take(r_rows, allow_fill=True)
         for c in r_facts
     }
     if op != "anti":
         s_rows = np.where(of_s, w.head, w.src)
-        facts.update({f"s_{c}": take(frame, f"s_{c}", s_rows) for c in s_facts})
+        facts.update(
+            {f"s_{c}": frame[f"s_{c}"].array.take(s_rows, allow_fill=True) for c in s_facts}
+        )
     return _join_tuples(frame, by_kind, w, facts)

@@ -294,8 +294,7 @@ def _run_sweeps(
     else:
         kernel = partial(columnar.join_sweep, r_facts=r_facts, s_facts=s_facts, op=op)
         schema = _join_schema(x.schema, r_facts, s_facts, op)
-    facts = [f"r_{c}" for c in r_facts] + [f"s_{c}" for c in s_facts]
-    return map_group_frames(columnar.carry_integral_nulls(x, facts), kernel, schema)
+    return map_group_frames(x, kernel, schema)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ iterator of Arrow-sized pandas batches; a group never spans partitions
 DataFrame this way: :func:`group_frames` cuts the batch stream into
 frames of complete groups, and a frame → frame function (NJ's columnar
 kernel in :mod:`repro.core.columnar`, TA's align/normalize split)
-turns each frame into one output frame.
+turns each frame into one output frame. It is also the one place that
+knows how a nullable integral column crosses into pandas: the function
+gets it as an exact ``Int64`` column.
 
 :func:`iter_groups` and :func:`chunked` are the row-at-a-time
 specification that NJ's kernel is tested against: one list of records
@@ -22,8 +24,8 @@ from typing import Callable, Iterator
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame
-from pyspark.sql.types import StructType
+from pyspark.sql import DataFrame, functions as F
+from pyspark.sql.types import IntegralType, StructType
 
 
 def iter_groups(
@@ -92,6 +94,33 @@ def chunked(rows: list[dict], columns: list[str], size: int = 4096):
         yield pd.DataFrame(chunk, columns=columns)
 
 
+# winit columns that the full join types nullable but never leaves null
+# (see repro.core.windows.winit); they cross as plain integers
+_NEVER_NULL = ("side", "r_ts", "r_te", "o_ts", "o_te")
+
+
+def _null_flag(column: str) -> str:
+    """The boolean column that carries the nulls of integral ``column``
+    across Arrow. winit columns all start with ``r_``, ``s_`` or
+    ``o_``, or are ``side``, so the flag cannot collide with one."""
+    return f"null_{column}"
+
+
+def _with_nulls(frame: pd.DataFrame, columns: list[str]) -> pd.DataFrame:
+    """``frame`` with each of ``columns`` rebuilt as an ``Int64`` column
+    from its values and its null flag, and the flags dropped. No column
+    is copied."""
+    if not columns:
+        return frame
+    flags = {_null_flag(c) for c in columns}
+    data = {c: frame[c] for c in frame.columns if c not in flags}
+    for c in columns:
+        data[c] = pd.arrays.IntegerArray(
+            frame[c].to_numpy(), frame[_null_flag(c)].to_numpy()
+        )
+    return pd.DataFrame(data, copy=False)
+
+
 def map_group_frames(
     x: DataFrame, fn: Callable[[pd.DataFrame], pd.DataFrame], schema: StructType
 ) -> DataFrame:
@@ -107,15 +136,37 @@ def map_group_frames(
     stays the first key: Spark's sort compares a prefix of the first key
     before whole rows, and a 0/1 ``side`` prefix would leave nearly
     every comparison to the whole row.
+
+    ``fn`` sees the columns typed as Spark types them, with each
+    nullable integral column as a pandas ``Int64`` column. ``mapInPandas``
+    alone would hand such a column over as float64, which rounds values
+    beyond 2^53. So after the sort each one crosses Arrow as its value,
+    nulls as 0, plus a boolean :func:`_null_flag` column, and the worker
+    rebuilds it (:func:`_with_nulls`). The flags are added after the
+    shuffle, so they do not travel through it.
     """
     keys = ["r_lid", "o_ts", "o_te", "s_lid"]
     if "side" in x.columns:
         keys.insert(1, "side")
+    types = {f.name: f.dataType for f in x.schema.fields if f.nullable}
+    columns = [
+        c for c, t in types.items()
+        if isinstance(t, IntegralType) and c not in _NEVER_NULL
+    ]
 
     def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         for frame in group_frames(batches, "r_lid"):
-            out = fn(frame)
+            out = fn(_with_nulls(frame, columns))
             if len(out):
                 yield out
 
-    return x.repartition("r_lid").sortWithinPartitions(*keys).mapInPandas(run, schema)
+    sorted_x = x.repartition("r_lid").sortWithinPartitions(*keys)
+    if columns:
+        sorted_x = sorted_x.select(
+            *[
+                F.coalesce(c, F.lit(0).cast(types[c])).alias(c) if c in columns else c
+                for c in x.columns
+            ],
+            *[F.col(c).isNull().alias(_null_flag(c)) for c in columns],
+        )
+    return sorted_x.mapInPandas(run, schema)

@@ -149,8 +149,9 @@ def group_records(draw, rng, lid_prefix: str) -> list[dict]:
 
 
 def as_frame(recs: list[dict], by: list[str]) -> pd.DataFrame:
-    """Records as a winit frame sorted by ``by``, typed as Spark hands
-    it to pandas."""
+    """Records as a winit frame sorted by ``by``, typed as
+    ``stream.map_group_frames`` hands it to the kernel: the nullable
+    integral facts as ``Int64``."""
     frame = pd.DataFrame(recs, dtype=object).sort_values(
         by, na_position="first", ignore_index=True
     )
@@ -158,22 +159,16 @@ def as_frame(recs: list[dict], by: list[str]) -> pd.DataFrame:
         frame[c] = frame[c].astype(float)
     for c in ("r_ts", "r_te", "o_ts", "o_te"):
         frame[c] = frame[c].astype("int64")
+    for c in INTEGRAL:
+        frame[c] = frame[c].astype("Int64")
     return frame
 
 
-def cut(draw, spec: pd.DataFrame):
-    """``spec`` and its kernel input (integral facts null-free plus null
-    flags), cut into the same batches at arbitrary rows."""
-    kernel = spec.copy()
-    for c in INTEGRAL:
-        kernel[columnar.null_flag(c)] = spec[c].isna().to_numpy()
-        kernel[c] = spec[c].where(spec[c].notna(), 0).astype("int64")
-    n = len(spec)
+def cut(draw, frame: pd.DataFrame) -> list[pd.DataFrame]:
+    """``frame`` cut into batches at arbitrary rows."""
+    n = len(frame)
     cuts = sorted(set(draw(st.lists(st.integers(0, n), max_size=6))) | {0, n})
-    return (
-        [spec.iloc[a:b] for a, b in zip(cuts, cuts[1:])],
-        [kernel.iloc[a:b] for a, b in zip(cuts, cuts[1:])],
-    )
+    return [frame.iloc[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
 WINIT_ORDER = ["r_lid", "o_ts", "o_te", "s_lid"]
@@ -181,16 +176,14 @@ WINIT_ORDER = ["r_lid", "o_ts", "o_te", "s_lid"]
 
 @st.composite
 def winit_batches(draw):
-    """A sorted winit frame as the spec sees it and as the kernel sees
-    it, cut into the same batches at arbitrary rows."""
+    """A sorted winit frame cut into batches at arbitrary rows."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return cut(draw, as_frame(group_records(draw, rng, "a"), WINIT_ORDER))
 
 
-FACT_SWAP = {  # r_<c> <-> s_<c>, and their null flags
+FACT_SWAP = {  # r_<c> <-> s_<c>
     f"{a}_{c}": f"{b}_{c}" for a, b in (("r", "s"), ("s", "r")) for c in R_FACTS
 }
-FACT_SWAP.update({columnar.null_flag(a): columnar.null_flag(b) for a, b in FACT_SWAP.items()})
 
 
 @pytest.mark.parametrize("with_negating, op", OUTPUTS)
@@ -199,16 +192,13 @@ FACT_SWAP.update({columnar.null_flag(a): columnar.null_flag(b) for a, b in FACT_
 def test_kernel_matches_spec(batches, with_negating, op):
     """The right join's frames are the left join's with s positive: the
     positive facts under ``s_<c>``, the negative ones under ``r_<c>``."""
-    spec_batches, kernel_batches = batches
     want = spec_rows(
-        spec_batches, R_FACTS, S_FACTS, with_negating, "left" if op == "right" else op
+        batches, R_FACTS, S_FACTS, with_negating, "left" if op == "right" else op
     )
     if op == "right":
-        kernel_batches = [b.rename(columns=FACT_SWAP) for b in kernel_batches]
+        batches = [b.rename(columns=FACT_SWAP) for b in batches]
         want = [{FACT_SWAP.get(c, c): v for c, v in rec.items()} for rec in want]
-    assert_same_rows(
-        kernel_rows(kernel_batches, R_FACTS, S_FACTS, with_negating, op), want
-    )
+    assert_same_rows(kernel_rows(batches, R_FACTS, S_FACTS, with_negating, op), want)
 
 
 @st.composite
@@ -230,7 +220,7 @@ def full_batches(draw):
     frame["side"] = frame["side"].astype("int32")
     spec_left = as_frame(r_groups, WINIT_ORDER)
     spec_anti = as_frame(s_groups, WINIT_ORDER)
-    return cut(draw, frame)[1], spec_left, spec_anti
+    return cut(draw, frame), spec_left, spec_anti
 
 
 @settings(max_examples=40, deadline=None)
@@ -293,6 +283,20 @@ def test_repeated_winit_row_is_rejected():
     )
     with pytest.raises(ValueError, match="share the lid 'a1' or the lid 'b1'"):
         columnar.sweep(frame, [], [], with_negating=False)
+
+
+def test_group_with_a_null_and_a_value_in_an_int_fact_is_rejected():
+    """Two r tuples a1, one with a null ``Int64`` fact and one with a
+    value: the two rows compare as NA, which counts as a disagreement."""
+    frame = pd.DataFrame(
+        {
+            "r_k": pd.array([None, 5], "Int64"),
+            "r_lid": ["a1", "a1"], "r_p": [0.5, 0.5], "r_ts": [0, 0], "r_te": [9, 9],
+            "s_lid": ["b1", "b2"], "s_p": [0.5, 0.5], "o_ts": [2, 5], "o_te": [4, 7],
+        }
+    )
+    with pytest.raises(ValueError, match="share the lid 'a1': its group's rows disagree on r_k"):
+        columnar.join_sweep(frame, ["k"], [], "anti")
 
 
 # ---------------------------------------------------------------------------

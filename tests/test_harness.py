@@ -1,4 +1,6 @@
 """Tests for the bench harness utilities."""
+from repro.bench import experiments
+from repro.bench.dataset_stats import STAT_ROWS
 from repro.bench.harness import Table, materialize, time_action
 
 
@@ -15,7 +17,34 @@ def test_table_right_aligns_columns():
     t.add(5)
     t.add(12345)
     assert t.rows == [["5"], ["12345"]]
-    assert t.header().splitlines()[-2] == "    x"
+    assert t.header().splitlines()[-2] == "         x"
+
+
+def _offsets(printed: str) -> set[tuple[int, ...]]:
+    """The column separator offsets of each printed table line."""
+    lines = [ln for ln in printed.splitlines() if ln and not ln.startswith("== ")]
+    return {tuple(i for i, ch in enumerate(ln) if ch in "|+") for ln in lines}
+
+
+def test_every_printed_line_has_the_same_column_offsets(capsys, monkeypatch):
+    """The header, the rule and every row, printed as they come, line
+    up: a row wider than the column names, and Table IV's longest
+    property label."""
+    t = Table("demo", ["n", "nj_s"])
+    print(t.header())
+    t.add(2000, 0.5)
+    t.add(24000, 12.25)
+    assert len(_offsets(capsys.readouterr().out)) == 1
+
+    monkeypatch.setattr(experiments, "_warmup", lambda spark: None)
+    monkeypatch.setattr(experiments, "_inputs", lambda spark, kind, n: (None,) * 3)
+    monkeypatch.setattr(
+        experiments, "dataset_stats", lambda r: {p: 19.149 for p in STAT_ROWS}
+    )
+    experiments.table4_dataset_stats("spark")
+    printed = capsys.readouterr().out
+    assert "avg_tuples_per_point |" in printed
+    assert len(_offsets(printed)) == 1
 
 
 def test_time_action_counts_and_times(spark):

@@ -78,3 +78,21 @@ def test_every_table_dispatches(monkeypatch):
         ("e1", ("spark", "meteo")),
     ]
     assert bench_main.main(["nope"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["nope"], ["e1", "foo"], ["e1", "webkit", "meteo"], ["table4", "abc"],
+     ["table4", "0"], ["e5", "x"]],
+    ids=lambda argv: " ".join(argv) or "none",
+)
+def test_bad_arguments_fail_before_spark_starts(monkeypatch, capsys, argv):
+    """Bad arguments print the usage and exit with 2 without starting a
+    session, instead of failing after Spark and the warm-up joins ran."""
+
+    def no_session(app):
+        raise AssertionError(f"started a session for {argv}")
+
+    monkeypatch.setattr(bench_main, "spark_session", no_session)
+    assert bench_main.main(argv) == 2
+    assert "Usage: python -m repro.bench" in capsys.readouterr().err

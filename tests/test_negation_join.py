@@ -407,6 +407,45 @@ def test_shared_lid_fails_naming_it(spark, case, op):
             join(r, s, Theta.of(), op).collect()
 
 
+def test_shared_lid_beyond_2_53_fails(spark):
+    """Two r tuples a1 whose int64 θ key differs only beyond 2^53 (so
+    as float64 they would be equal) each overlap one s tuple. a1's
+    group disagrees on ``r_k``, so the anti, left and full joins fail
+    naming it. The right join's groups are b1's and b2's, each holding
+    one a1 row, so it runs and returns their 4 tuples: a lid shared by
+    two negative tuples that no positive tuple overlaps together is not
+    caught (see ``negation_joins._checked``)."""
+    big = 2**60
+    schema = f"k long, {TP}"
+    r = spark.createDataFrame(
+        [(big, "a1", 0, 10, 0.5), (big + 1, "a1", 0, 10, 0.5)], schema
+    )
+    s = spark.createDataFrame(
+        [(big, "b1", 2, 4, 0.4), (big + 1, "b2", 5, 7, 0.7)], schema
+    )
+    theta = Theta.equi("k")
+    for op in ("anti", "left", "full"):
+        with pytest.raises((PythonException, Py4JJavaError), match="share the lid 'a1'"):
+            negation_join(r, s, theta, op).collect()
+    assert len(negation_join(r, s, theta, "right").collect()) == 4
+
+
+@pytest.mark.parametrize("op", ["anti", "left", "right", "full"])
+def test_null_flags_stay_out_of_the_shuffle(spark, op):
+    """A nullable int64 fact crosses into pandas as its value plus a
+    null flag. The flag is made between the ``Sort`` and the
+    ``MapInPandas``, so the ``r_lid`` exchange does not carry it."""
+    r = spark.createDataFrame([("x", 1, "a1", 0, 10, 0.5)], f"k string, v long, {TP}")
+    s = spark.createDataFrame([("x", None, "b1", 2, 4, 0.4)], f"k string, w long, {TP}")
+    nodes = plan_nodes(negation_join(r, s, Theta.equi("k"), op))
+    names = [n[0] for n in nodes]
+    at = names.index("MapInPandas")
+    assert names[at + 1 : at + 4] == ["Project", "Sort", "Exchange"]
+    assert nodes[at + 3][1].startswith("hashpartitioning(r_lid#")
+    assert "AS null_r_v#" in nodes[at + 1][1] and "AS null_s_w#" in nodes[at + 1][1]
+    assert not any("null_r_v" in rest or "null_s_w" in rest for _, rest in nodes[at + 2 :])
+
+
 THETAS = [  # with an equality term, with only < or !=, empty
     Theta.equi("k"), Theta.of(("k", "<", "k")), Theta.of(("k", "!=", "k")), Theta.of(),
 ]

@@ -2,7 +2,7 @@
 import pandas as pd
 import pytest
 
-from repro.core.stream import chunked, group_frames, iter_groups
+from repro.core.stream import chunked, group_frames, iter_groups, map_group_frames
 
 
 def batches(*frames):
@@ -102,3 +102,24 @@ def test_chunked_empty_rows():
 def test_chunked_preserves_column_order():
     frames = list(chunked([{"b": 1, "a": 2}], ["a", "b"]))
     assert frames[0].columns.tolist() == ["a", "b"]
+
+
+def test_map_group_frames_hands_nullable_integers_over_exactly(spark):
+    """A nullable integral column reaches ``fn`` as ``Int64``, with a
+    value beyond 2^53 exact and a null as ``<NA>``, and comes back out
+    exact (``mapInPandas`` alone would hand it over as float64)."""
+    big = 2**60 + 1
+    x = spark.createDataFrame(
+        [("a1", big, 0, 1, None), ("a2", None, 0, 1, None)],
+        "r_lid string, r_v long, o_ts long, o_te long, s_lid string",
+    )
+
+    def fn(frame):
+        seen = [f"{frame['r_v'].dtype}:{v}" for v in frame["r_v"]]
+        return pd.DataFrame({"r_lid": frame["r_lid"], "r_v": frame["r_v"], "seen": seen})
+
+    out = map_group_frames(x, fn, "r_lid string, r_v long, seen string")
+    assert sorted(map(tuple, out.collect())) == [
+        ("a1", big, f"Int64:{big}"),
+        ("a2", None, "Int64:<NA>"),
+    ]
