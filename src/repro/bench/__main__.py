@@ -24,6 +24,7 @@ from .experiments import (
     table_e3_left_outer_join,
     table_e4_breakdown,
     table_e5_scalability,
+    warmup,
 )
 
 TABLES = {
@@ -71,6 +72,7 @@ def main(argv: list[str]) -> int:
     spark = spark_session(f"repro-{argv[0]}")
     spark.sparkContext.setLogLevel("ERROR")
     try:
+        warmup(spark)
         run(spark, argv[0], argv[1:])
     finally:
         spark.stop()

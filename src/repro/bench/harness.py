@@ -1,18 +1,17 @@
 """Timing harness for the evaluation tables.
 
-Wall-clock timing of DataFrame pipelines (forced with a cheap
-``count``-style action), parameter sweeps over input sizes, and
-aligned table printing so ``python -m repro.bench <table>`` emits the
-same rows the paper's figures plot. Inputs are cached (``.cache()`` + materialize)
-before timing so a measurement covers the operator under test, not the
-synthetic generator.
+Wall-clock timing of DataFrame pipelines, forced by a write to Spark's
+``noop`` sink, and aligned table printing so ``python -m repro.bench
+<table>`` emits the same rows the paper's figures plot. Inputs are
+cached (``.cache()`` + materialize) before timing so a measurement
+covers the operator under test, not the synthetic generator.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
 
-from pyspark.sql import DataFrame
+from pyspark.sql import DataFrame, Observation, functions as F
 
 
 def materialize(df: DataFrame) -> DataFrame:
@@ -23,18 +22,22 @@ def materialize(df: DataFrame) -> DataFrame:
 
 
 def time_action(build, *, runs: int = 1) -> tuple[float, int]:
-    """Lower-median wall-clock seconds (and rows) of ``build().count()``.
+    """Lower-median wall-clock seconds (and rows) of writing ``build()``
+    to the ``noop`` sink, which evaluates every column, where a
+    ``count()`` lets Catalyst prune the columns it does not need.
 
-    ``build`` must return a fresh DataFrame each call so Spark cannot
-    reuse a cached result of a previous run.
+    An ``Observation`` counts the rows on the way. ``build`` must return
+    a fresh DataFrame each call so Spark cannot reuse a cached result.
     """
-    times, rows = [], 0
+    times = []
     for _ in range(runs):
+        obs = Observation()
         t0 = time.perf_counter()
-        rows = build().count()
+        df = build().observe(obs, F.count(F.lit(1)).alias("rows"))
+        df.write.format("noop").mode("overwrite").save()
         times.append(time.perf_counter() - t0)
     times.sort()
-    return times[(len(times) - 1) // 2], rows
+    return times[(len(times) - 1) // 2], obs.get["rows"]
 
 
 @dataclass

@@ -16,20 +16,21 @@ nested loop depending on θ's selectivity (paper Section VII-A).
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import pandas as pd
 from pyspark.sql import Column, DataFrame, functions as F
 
-_OPS = {"=", "!=", "<", "<=", ">", ">="}
-
-_PY_OPS = {
-    "=": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
+# The comparisons θ accepts; each applies to Spark Columns and to
+# Python values alike.
+_OPS = {
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
 }
 
 
@@ -83,16 +84,7 @@ class Theta:
         """
         cond = F.lit(True)
         for lcol, op, rcol in self.terms:
-            a, b = left[lprefix + lcol], right[rprefix + rcol]
-            term = {
-                "=": a == b,
-                "!=": a != b,
-                "<": a < b,
-                "<=": a <= b,
-                ">": a > b,
-                ">=": a >= b,
-            }[op]
-            cond = cond & term
+            cond = cond & _OPS[op](left[lprefix + lcol], right[rprefix + rcol])
         return cond
 
     def matches(self, left_row: dict, right_row: dict) -> bool:
@@ -104,6 +96,6 @@ class Theta:
         return all(
             not pd.isna(a := left_row[lcol])
             and not pd.isna(b := right_row[rcol])
-            and _PY_OPS[op](a, b)
+            and _OPS[op](a, b)
             for lcol, op, rcol in self.terms
         )

@@ -43,11 +43,11 @@ def _driver_mem() -> str:
 def spark_session(app: str) -> SparkSession:
     """A local SparkSession named ``app`` with the repo's settings.
 
-    ``SPARK_MASTER`` (default ``local[*]``), ``SPARK_DRIVER_MEM`` and
-    ``SPARK_SHUFFLE_PARTITIONS`` (default 64) override the defaults.
-    Broadcast joins are disabled so the θ∧overlap join exercises the
-    shuffle path; a query that wants a broadcast join sets the
-    threshold back for itself.
+    ``SPARK_MASTER`` (default ``local[*]``) and ``SPARK_DRIVER_MEM`` are
+    deployment settings. Shuffles use 64 partitions, the value the
+    benchmark's session pins (``perfbench/run.py``). Broadcast joins are
+    disabled so the θ∧overlap join exercises the shuffle path; a query
+    that wants a broadcast join sets the threshold back for itself.
     """
     os.environ.setdefault("SPARK_DRIVER_MEM", _driver_mem())
     os.environ.setdefault(
@@ -60,10 +60,7 @@ def spark_session(app: str) -> SparkSession:
     )
     return (
         SparkSession.builder.appName(app)
-        .config(
-            "spark.sql.shuffle.partitions",
-            os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"),
-        )
+        .config("spark.sql.shuffle.partitions", 64)
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .getOrCreate()

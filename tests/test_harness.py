@@ -1,4 +1,8 @@
 """Tests for the bench harness utilities."""
+import pytest
+from pyspark.errors import PySparkException
+from pyspark.sql import functions as F
+
 from repro.bench import experiments
 from repro.bench.dataset_stats import STAT_ROWS
 from repro.bench.harness import Table, materialize, time_action
@@ -36,7 +40,6 @@ def test_every_printed_line_has_the_same_column_offsets(capsys, monkeypatch):
     t.add(24000, 12.25)
     assert len(_offsets(capsys.readouterr().out)) == 1
 
-    monkeypatch.setattr(experiments, "_warmup", lambda spark: None)
     monkeypatch.setattr(experiments, "_inputs", lambda spark, kind, n: (None,) * 3)
     monkeypatch.setattr(
         experiments, "dataset_stats", lambda r: {p: 19.149 for p in STAT_ROWS}
@@ -57,6 +60,15 @@ def test_time_action_median_of_runs(spark):
     df = spark.range(10)
     secs, rows = time_action(lambda: df, runs=3)
     assert rows == 10 and secs > 0
+
+
+def test_time_action_evaluates_every_column(spark):
+    """The timed action computes every column, so a column that fails
+    fails the timing: a ``count()`` would prune it and time nothing."""
+    with pytest.raises(PySparkException, match="boom"):
+        time_action(
+            lambda: spark.range(3).select(F.expr("raise_error('boom')").alias("x"))
+        )
 
 
 def test_materialize_returns_cached_df(spark):

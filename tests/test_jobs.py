@@ -4,9 +4,11 @@
 these functions; running the functions in-process exercises the same
 code paths without paying a Spark start-up per table.
 """
+from types import SimpleNamespace
+
 import pytest
 
-from repro.bench import __main__ as bench_main
+from repro.bench import __main__ as bench_main, experiments
 from repro.bench.experiments import (
     table4_dataset_stats,
     table_e1_wuo,
@@ -50,6 +52,22 @@ def test_e4_runs_and_percentages_sum(spark, kind):
     t = table_e4_breakdown(spark, kind, sizes=TINY)
     clj, wuo_pct, wn_pct = (float(x) for x in t.rows[0][2:5])
     assert clj + wuo_pct + wn_pct == pytest.approx(100.0, abs=0.1)
+
+
+def test_e2_prints_no_negative_or_infinite_wn(monkeypatch, capsys):
+    """Where all-windows times faster than W_UO, the difference is noise:
+    NJ-WN and TA/NJ-WN read ``n/a``, not 0 ms and ``inf``."""
+    cached = SimpleNamespace(unpersist=lambda: None)
+    monkeypatch.setattr(experiments, "_inputs", lambda spark, kind, n: (cached,) * 3)
+    for name in ("all_windows", "wuo", "ta_nu"):
+        monkeypatch.setattr(experiments, name, lambda r, s, theta, name=name: name)
+    secs = {"all_windows": 0.9, "wuo": 1.0, "ta_nu": 2.0}
+    monkeypatch.setattr(
+        experiments, "time_action", lambda build, runs: (secs[build()], 5)
+    )
+    t = table_e2_negating("spark", "webkit", sizes=TINY)
+    assert t.rows == [["60", "n/a", "900", "2000", "2.222", "n/a"]]
+    assert "inf" not in capsys.readouterr().out
 
 
 def test_e5_runs(spark):
