@@ -18,13 +18,15 @@ reduction rules (paper Fig. 10b/10c):
   the two fragment relations on θ ∧ fragment containment, and
   aggregate the m-lineages per k fragment into the λs disjunction
   (Fig. 10c).
-- TP left outer join: the duplicate-eliminating union of both trees —
-  the unmatched windows are computed twice and must be deduplicated.
+- TP left outer join: one duplicate-eliminating union (SQL ``UNION``)
+  of both trees, computed once — the unmatched windows come out of
+  both trees and are deduplicated.
 
 Cost structure faithfully reproduced from the paper: every Φ/N node is
-itself "based on a conventional left-outer join" at winit scale, so TA
-executes the expensive θ∧overlap join two to four times plus extra
-fragment joins and a dedup union, whereas NJ executes it exactly once.
+itself "based on a conventional left-outer join" at winit scale. TA's
+anti join (the Fig. 10c tree, which reads N(r, s) twice) runs 3
+winit-scale joins plus 1 fragment join, its left join 5 plus 2 and the
+union; NJ runs the expensive θ∧overlap join exactly once.
 Each operator's splitting step runs in the same pass as the NJ sweeps
 (:func:`repro.core.stream.map_group_frames`): frames of whole r-tuple
 groups, which TA splits one group at a time in plain Python
@@ -57,25 +59,10 @@ from ..tp.model import fact_columns
 # ---------------------------------------------------------------------------
 
 
-def _fragment_schema(tp_df: DataFrame) -> StructType:
-    """Fragments keep the tuple's attributes, lineage, probability and
-    ORIGINAL interval, and add the fragment interval ``[f_ts, f_te)``."""
-    keep = {f.name: f for f in tp_df.schema.fields}
-    fields = [keep[c] for c in fact_columns(tp_df)]
-    fields += [keep["lid"], keep["p"]]
-    fields += [
-        StructField("orig_ts", LongType(), False),
-        StructField("orig_te", LongType(), False),
-        StructField("f_ts", LongType(), False),
-        StructField("f_te", LongType(), False),
-    ]
-    return StructType(fields)
-
-
 def _fragments(
     r_ts: int, r_te: int, o_ts: list[int], o_te: list[int], mode: str
 ) -> list[tuple[int, int]]:
-    """The fragments ``(f_ts, f_te)`` of the tuple ``[r_ts, r_te)``
+    """The fragments ``(w_ts, w_te)`` of the tuple ``[r_ts, r_te)``
     whose matches overlap it on ``[o_ts[i], o_te[i])`` (none: one
     fragment, the whole interval).
 
@@ -105,12 +92,12 @@ def _fragment_pass(
     """Shared driver of Φ and N: one winit-scale join, then
     :func:`_fragments` for every group of the target's tuples, after
     NJ's check that each group holds one target tuple
-    (:func:`repro.core.columnar.check_groups`)."""
+    (:func:`repro.core.columnar.check_groups`). A fragment keeps winit's
+    positive columns — ``r_<c>``, ``r_lid``, ``r_p`` and the ORIGINAL
+    interval ``[r_ts, r_te)`` — and adds ``[w_ts, w_te)``."""
     target_facts = fact_columns(target)
-    facts = [f"r_{c}" for c in target_facts]
-    x = winit(target, ref, theta).select(
-        *facts, "r_lid", "r_p", "r_ts", "r_te", "s_lid", "o_ts", "o_te"
-    )
+    keep = [f"r_{c}" for c in target_facts] + ["r_lid", "r_p", "r_ts", "r_te"]
+    x = winit(target, ref, theta).select(*keep, "s_lid", "o_ts", "o_te")
 
     def split(frame: pd.DataFrame) -> pd.DataFrame:
         lid = frame["r_lid"].to_numpy()
@@ -120,22 +107,23 @@ def _fragment_pass(
         new_group = np.append(True, lid[1:] != lid[:-1])
         columnar.check_groups(frame, new_group, matched, target_facts)
         first = np.flatnonzero(new_group).tolist()
-        head, f_ts, f_te = [], [], []
+        head, w_ts, w_te = [], [], []
         for a, b in zip(first, first[1:] + [len(frame)]):
             b = b if matched[a] else a  # a null-match row: no matches
             for ts, te in _fragments(r_ts[a], r_te[a], o_ts[a:b], o_te[a:b], mode):
                 head.append(a)
-                f_ts.append(ts)
-                f_te.append(te)
+                w_ts.append(ts)
+                w_te.append(te)
         head = np.array(head, np.int64)
-        out = {c[2:]: frame[c].array.take(head) for c in facts}
-        for c, col in (("lid", "r_lid"), ("p", "r_p"),
-                       ("orig_ts", "r_ts"), ("orig_te", "r_te")):
-            out[c] = frame[col].to_numpy()[head]
-        out["f_ts"], out["f_te"] = f_ts, f_te
+        out = {c: frame[c].array.take(head) for c in keep}
+        out["w_ts"], out["w_te"] = w_ts, w_te
         return pd.DataFrame(out)
 
-    return map_group_frames(x, split, _fragment_schema(target))
+    schema = StructType(
+        [x.schema[c] for c in keep]
+        + [StructField(c, LongType(), False) for c in ("w_ts", "w_te")]
+    )
+    return map_group_frames(x, split, schema)
 
 
 def align(r: DataFrame, s: DataFrame, theta: Theta) -> DataFrame:
@@ -155,11 +143,22 @@ def _as_tp(fragments: DataFrame, facts: list[str]) -> DataFrame:
     which is fine for use as a normalization *reference* relation.
     """
     return fragments.select(
-        *facts,
-        "lid",
-        F.col("f_ts").alias("ts"),
-        F.col("f_te").alias("te"),
-        "p",
+        *[F.col(f"r_{c}").alias(c) for c in facts],
+        F.col("r_lid").alias("lid"),
+        F.col("w_ts").alias("ts"),
+        F.col("w_te").alias("te"),
+        F.col("r_p").alias("p"),
+    )
+
+
+def _as_negative(fragments: DataFrame) -> DataFrame:
+    """A fragment relation on the negative side of a fragment join:
+    ``r_<x>`` renamed ``s_<x>`` and ``[w_ts, w_te)`` ``[sw_ts, sw_te)``."""
+    return fragments.select(
+        *[
+            F.col(c).alias(f"s{c}" if c in ("w_ts", "w_te") else f"s_{c[2:]}")
+            for c in fragments.columns
+        ]
     )
 
 
@@ -175,33 +174,15 @@ def ta_wuo(r: DataFrame, s: DataFrame, theta: Theta) -> DataFrame:
     two approaches can be checked for identical results.
     """
     r_facts, s_facts = fact_columns(r), fact_columns(s)
-    ar = align(r, s, theta)  # winit-scale join #1
-    as_ = align(s, r, theta.swapped())  # winit-scale join #2
-    lhs = ar.select(
-        *[F.col(c).alias(f"r_{c}") for c in r_facts],
-        F.col("lid").alias("r_lid"),
-        F.col("p").alias("r_p"),
-        F.col("orig_ts").alias("r_orig_ts"),
-        F.col("orig_te").alias("r_orig_te"),
-        F.col("f_ts").alias("w_ts"),
-        F.col("f_te").alias("w_te"),
-    )
-    rhs = as_.select(
-        *[F.col(c).alias(f"s_{c}") for c in s_facts],
-        F.col("lid").alias("s_lid"),
-        F.col("p").alias("s_p"),
-        F.col("orig_ts").alias("s_orig_ts"),
-        F.col("orig_te").alias("s_orig_te"),
-        F.col("f_ts").alias("sf_ts"),
-        F.col("f_te").alias("sf_te"),
-    )
+    lhs = align(r, s, theta)  # winit-scale join #1
+    rhs = _as_negative(align(s, r, theta.swapped()))  # winit-scale join #2
     cond = (
         theta.spark_condition(lhs, rhs, "r_", "s_")
-        & (lhs["w_ts"] == rhs["sf_ts"])
-        & (lhs["w_te"] == rhs["sf_te"])
+        & (lhs["w_ts"] == rhs["sw_ts"])
+        & (lhs["w_te"] == rhs["sw_te"])
         # fragment must be the exact intersection of the two originals
-        & (F.greatest(lhs["r_orig_ts"], rhs["s_orig_ts"]) == lhs["w_ts"])
-        & (F.least(lhs["r_orig_te"], rhs["s_orig_te"]) == lhs["w_te"])
+        & (F.greatest(lhs["r_ts"], rhs["s_ts"]) == lhs["w_ts"])
+        & (F.least(lhs["r_te"], rhs["s_te"]) == lhs["w_te"])
     )
     j = lhs.join(rhs, cond, "left")  # fragment join #3
     matched = j["s_lid"].isNotNull()
@@ -233,32 +214,18 @@ def ta_nu(r: DataFrame, s: DataFrame, theta: Theta) -> DataFrame:
     aggregation of the s lineages per r fragment.
     """
     r_facts, s_facts = fact_columns(r), fact_columns(s)
-    x1 = normalize(r, s, theta)  # winit-scale join #1
-    x2 = normalize(s, _as_tp(x1, r_facts), theta.swapped())  # join #2
-    lhs = x1.select(
-        *[F.col(c).alias(f"r_{c}") for c in r_facts],
-        F.col("lid").alias("r_lid"),
-        F.col("p").alias("r_p"),
-        F.col("f_ts").alias("w_ts"),
-        F.col("f_te").alias("w_te"),
-    )
-    rhs = x2.select(
-        *[F.col(c).alias(f"s_{c}") for c in s_facts],
-        F.col("lid").alias("s_lid"),
-        F.col("p").alias("s_p"),
-        F.col("f_ts").alias("sf_ts"),
-        F.col("f_te").alias("sf_te"),
-    )
+    x1 = normalize(r, s, theta)  # winit-scale joins #1 and #2: read twice
+    x2 = normalize(s, _as_tp(x1, r_facts), theta.swapped())  # join #3
+    rhs = _as_negative(x2)
     cond = (
-        theta.spark_condition(lhs, rhs, "r_", "s_")
-        & (rhs["sf_ts"] >= lhs["w_ts"])
-        & (rhs["sf_te"] <= lhs["w_te"])
-        & (rhs["sf_ts"] < rhs["sf_te"])
+        theta.spark_condition(x1, rhs, "r_", "s_")
+        & (rhs["sw_ts"] >= x1["w_ts"])
+        & (rhs["sw_te"] <= x1["w_te"])
+        & (rhs["sw_ts"] < rhs["sw_te"])
     )
-    j = lhs.join(rhs, cond, "left")  # fragment join #3
-    grouped = j.groupBy(
-        *[f"r_{c}" for c in r_facts], "r_lid", "r_p", "w_ts", "w_te"
-    ).agg(
+    j = x1.join(rhs, cond, "left")  # fragment join #4
+    window = [*[f"r_{c}" for c in r_facts], "r_lid", "r_p", "w_ts", "w_te"]
+    grouped = j.groupBy(*window).agg(
         F.sort_array(
             F.array_distinct(
                 F.filter(F.collect_list(F.struct("s_lid", "s_p")), lambda x: x["s_lid"].isNotNull())
@@ -267,12 +234,8 @@ def ta_nu(r: DataFrame, s: DataFrame, theta: Theta) -> DataFrame:
     )
     has_neg = F.size("s_pairs") > 0
     return grouped.select(
-        *[f"r_{c}" for c in r_facts],
-        "r_lid",
-        "r_p",
-        "w_ts",
-        "w_te",
-        *[F.lit(None).cast(t).alias(f"s_{c}") for c, t in _s_fact_types(s)],
+        *window,
+        *[F.lit(None).cast(rhs.schema[f"s_{c}"].dataType).alias(f"s_{c}") for c in s_facts],
         F.transform("s_pairs", lambda x: x["s_lid"]).alias("s_lids"),
         F.transform("s_pairs", lambda x: x["s_p"]).alias("s_ps"),
         F.when(has_neg, F.lit(KIND_NEGATING))
@@ -281,30 +244,21 @@ def ta_nu(r: DataFrame, s: DataFrame, theta: Theta) -> DataFrame:
     )
 
 
-def _s_fact_types(s: DataFrame) -> list[tuple[str, object]]:
-    types = {f.name: f.dataType for f in s.schema.fields}
-    return [(c, types[c]) for c in fact_columns(s)]
-
-
 # ---------------------------------------------------------------------------
 # TP joins with negation via TA
 # ---------------------------------------------------------------------------
 
 
 def ta_windows(r: DataFrame, s: DataFrame, theta: Theta) -> DataFrame:
-    """All three window sets via TA: union of both trees + dedup.
+    """All three window sets via TA: the duplicate-eliminating union
+    (SQL ``UNION``) of both trees.
 
-    The unmatched windows come out of BOTH subtrees (paper: "leading
-    to the unmatched windows being computed twice"), so a duplicate-
-    eliminating union is required — one of TA's structural overheads.
+    The unmatched windows come out of BOTH trees (paper: "leading to the
+    unmatched windows being computed twice") as identical rows. No other
+    row repeats: a group that repeats a winit row fails
+    (:func:`repro.core.columnar.check_groups`).
     """
-    wuo_part = ta_wuo(r, s, theta)
-    nu_part = ta_nu(r, s, theta)
-    unioned = wuo_part.unionByName(nu_part)
-    dups = unioned.where(F.col("kind") == KIND_UNMATCHED).dropDuplicates(
-        ["r_lid", "w_ts", "w_te"]
-    )
-    return unioned.where(F.col("kind") != KIND_UNMATCHED).unionByName(dups)
+    return ta_wuo(r, s, theta).unionByName(ta_nu(r, s, theta)).dropDuplicates()
 
 
 def finalize_windows(windows: DataFrame, r: DataFrame, s: DataFrame, op: str) -> DataFrame:

@@ -31,8 +31,8 @@ SCALE_METEO = (1_000, 2_000, 4_000, 8_000)
 RUNS = 2  # timed runs per cell of E1-E4; E5's larger inputs run once
 
 
-def _inputs(spark: SparkSession, kind: str, n: int, seed: int = 0):
-    r, s, theta = tp_workload(spark, kind, n, seed=seed)
+def _inputs(spark: SparkSession, kind: str, n: int):
+    r, s, theta = tp_workload(spark, kind, n)
     return materialize(r), materialize(s), theta
 
 
@@ -90,8 +90,7 @@ def table4_dataset_stats(spark: SparkSession, n: int = 20_000) -> Table:
     print(t.header())
     stats = {}
     for kind in ("webkit", "meteo"):
-        r, _, _ = _inputs(spark, kind, n)
-        stats[kind] = dataset_stats(r)
+        stats[kind] = dataset_stats(tp_workload(spark, kind, n)[0])
     for prop in stats["webkit"]:
         t.add(prop, stats["webkit"][prop], stats["meteo"][prop])
     return t

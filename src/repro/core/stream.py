@@ -95,8 +95,9 @@ def chunked(rows: list[dict], columns: list[str], size: int = 4096):
 
 
 # winit columns that the full join types nullable but never leaves null
-# (see repro.core.windows.winit); they cross as plain integers
-_NEVER_NULL = ("side", "r_ts", "r_te", "o_ts", "o_te")
+# (see repro.core.windows.winit); they cross as plain integers. ``side``
+# is typed non-null, so the nullable scan never reaches it.
+_NEVER_NULL = ("r_ts", "r_te", "o_ts", "o_te")
 
 
 def _null_flag(column: str) -> str:

@@ -77,8 +77,10 @@ def webkit_lite_pdf(n: int, *, seed: int = 0, lid_prefix: str = "a",
     return pdf[["file_path", "lid", "ts", "te", "p"]]
 
 
+METEO_STATIONS, METEO_METRICS = 80, 4
+
+
 def meteo_lite_pdf(n: int, *, seed: int = 0, lid_prefix: str = "a",
-                   n_stations: int = 80, n_metrics: int = 4,
                    shift: float = 0.0) -> pd.DataFrame:
     """Meteo-like TP relation: few fact series over a shared range.
 
@@ -88,7 +90,7 @@ def meteo_lite_pdf(n: int, *, seed: int = 0, lid_prefix: str = "a",
     regime that blows up the paper's Meteo runtimes.
     """
     g = _rng(seed)
-    n_series = n_stations * n_metrics
+    n_series = METEO_STATIONS * METEO_METRICS
     series = g.integers(0, n_series, n)
     dur = np.maximum(1, g.lognormal(2.5, 1.0, n)).astype("int64")
     chain_span = max(1.0, (n / n_series) * 20.0)
@@ -98,8 +100,8 @@ def meteo_lite_pdf(n: int, *, seed: int = 0, lid_prefix: str = "a",
         starts = starts + g.integers(0, max(1, int(shift * time_range)), n_series)
     pdf = pd.DataFrame({"series": series, "dur": dur})
     pdf = _chain_intervals(pdf, starts, "series")
-    pdf["station_id"] = (pdf["series"] // n_metrics).astype("int64")
-    pdf["value_id"] = (pdf["series"] % n_metrics).astype("int64")
+    pdf["station_id"] = (pdf["series"] // METEO_METRICS).astype("int64")
+    pdf["value_id"] = (pdf["series"] % METEO_METRICS).astype("int64")
     pdf["lid"] = [f"{lid_prefix}{i}" for i in range(len(pdf))]
     pdf["p"] = (0.5 + 0.5 * g.random(len(pdf))).round(6)
     return pdf[["station_id", "value_id", "lid", "ts", "te", "p"]]

@@ -26,7 +26,7 @@ class TestOperators:
         """Φ(a; b): a1 splits into gap [2,4) + intersections [4,6), [5,8);
         a2 stays whole (no match)."""
         a, b = ab
-        got = rows(align(a, b, THETA).select("lid", "f_ts", "f_te"))
+        got = rows(align(a, b, THETA).select("r_lid", "w_ts", "w_te"))
         assert got == norm(
             [("a1", 2, 4), ("a1", 4, 6), ("a1", 5, 8), ("a2", 7, 10)]
         )
@@ -39,13 +39,13 @@ class TestOperators:
             [(1, "x", "b0", 2, 6, 0.5), (1, "y", "b1", 2, 6, 0.5)],
             ["k", "sub"],
         )
-        got = rows(align(r, s, Theta.equi("k")).select("lid", "f_ts", "f_te"))
+        got = rows(align(r, s, Theta.equi("k")).select("r_lid", "w_ts", "w_te"))
         assert got == norm([("a0", 0, 2), ("a0", 2, 6), ("a0", 6, 10)])
 
     def test_normalize_paper_example(self, ab):
         """N(a; b): a1 splits at all boundaries of b3 [4,6) and b2 [5,8)."""
         a, b = ab
-        got = rows(normalize(a, b, THETA).select("lid", "f_ts", "f_te"))
+        got = rows(normalize(a, b, THETA).select("r_lid", "w_ts", "w_te"))
         assert got == norm(
             [
                 ("a1", 2, 4),
@@ -59,7 +59,7 @@ class TestOperators:
     def test_fragments_keep_original_interval(self, ab):
         a, b = ab
         for row in align(a, b, THETA).collect():
-            assert row["orig_ts"] <= row["f_ts"] < row["f_te"] <= row["orig_te"]
+            assert row["r_ts"] <= row["w_ts"] < row["w_te"] <= row["r_te"]
 
 
 class TestWindowEquivalence:
@@ -113,7 +113,7 @@ def test_ta_rejects_unknown_op(ab):
 
 @pytest.mark.parametrize(
     "op, n_joins, n_passes",
-    [("anti", 4, 3), ("left", 14, 10), ("right", 14, 10), ("full", 18, 13)],
+    [("anti", 4, 3), ("left", 7, 5), ("right", 7, 5), ("full", 11, 8)],
 )
 def test_plan_shape(ab, op, n_joins, n_passes):
     """TA's executed plan keeps its joins and Python passes (counted on

@@ -40,7 +40,7 @@ def test_every_printed_line_has_the_same_column_offsets(capsys, monkeypatch):
     t.add(24000, 12.25)
     assert len(_offsets(capsys.readouterr().out)) == 1
 
-    monkeypatch.setattr(experiments, "_inputs", lambda spark, kind, n: (None,) * 3)
+    monkeypatch.setattr(experiments, "tp_workload", lambda spark, kind, n: (None,) * 3)
     monkeypatch.setattr(
         experiments, "dataset_stats", lambda r: {p: 19.149 for p in STAT_ROWS}
     )

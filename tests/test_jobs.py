@@ -22,9 +22,12 @@ TINY = (60,)
 
 
 def test_table4_runs(spark):
+    spark.catalog.clearCache()
     t = table4_dataset_stats(spark, n=200)
     assert len(t.rows) == 9  # one row per Table IV property
     assert t.rows[0][0] == "cardinality"
+    # it leaves nothing cached in the session
+    assert spark._jsparkSession.sharedState().cacheManager().isEmpty()
 
 
 @pytest.mark.parametrize("kind", ["webkit", "meteo"])
