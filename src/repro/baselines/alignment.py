@@ -274,7 +274,6 @@ def finalize_windows(windows: DataFrame, r: DataFrame, s: DataFrame, op: str) ->
         w = w.where(F.col("kind") != KIND_OVERLAPPING)
     is_u = F.col("kind") == KIND_UNMATCHED
     is_o = F.col("kind") == KIND_OVERLAPPING
-    sorted_lids = F.sort_array("s_lids")
     lineage = (
         F.when(is_u, F.col("r_lid"))
         .when(is_o, F.concat("r_lid", F.lit(" & "), F.col("s_lids")[0]))
@@ -286,7 +285,7 @@ def finalize_windows(windows: DataFrame, r: DataFrame, s: DataFrame, op: str) ->
             F.concat(
                 "r_lid",
                 F.lit(" & ~("),
-                F.array_join(sorted_lids, " | "),
+                F.array_join("s_lids", " | "),
                 F.lit(")"),
             )
         )
@@ -342,19 +341,10 @@ def ta_negation_join(r: DataFrame, s: DataFrame, theta: Theta, op: str) -> DataF
         )
     left = _ta_join(r, s, theta, "left")
     right_only = _ta_join(s, r, theta.swapped(), "anti")
-    left_types = {f.name: f.dataType for f in left.schema.fields}
     promoted = right_only.select(
-        *[
-            F.lit(None).cast(left_types[f"r_{c}"]).alias(f"r_{c}")
-            for c in r_facts
-        ],
-        *[F.col(c).alias(f"s_{c}") for c in s_facts],
-        "lineage",
-        "ts",
-        "te",
-        "p",
+        *[F.col(c).alias(f"s_{c}") for c in s_facts], "lineage", "ts", "te", "p"
     )
-    return left.unionByName(promoted)
+    return left.unionByName(promoted, allowMissingColumns=True)
 
 
 def _ta_join(r: DataFrame, s: DataFrame, theta: Theta, op: str) -> DataFrame:

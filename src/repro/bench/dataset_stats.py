@@ -63,14 +63,9 @@ def dataset_stats(df: DataFrame) -> dict[str, float]:
         F.avg(F.col("te") - F.col("ts")).alias("avg_duration"),
         F.count_distinct(*[F.col(c) for c in facts]).alias("num_facts"),
     ).first()
-    distinct_points = (
-        df.select(F.col("ts").alias("t"))
-        .unionAll(df.select(F.col("te").alias("t")))
-        .distinct()
-        .count()
-    )
     prof = concurrency_profile(df)
     conc = prof.agg(
+        F.count(F.lit(1)).alias("intervals"),
         F.max("live").alias("max_live"),
         (
             F.sum(F.col("live") * (F.col("next_t") - F.col("t")))
@@ -88,7 +83,8 @@ def dataset_stats(df: DataFrame) -> dict[str, float]:
         "max_duration": int(base["max_duration"]),
         "avg_duration": float(base["avg_duration"]),
         "num_facts": int(base["num_facts"]),
-        "distinct_points": int(distinct_points),
+        # the profile has one row per distinct point but the last
+        "distinct_points": int(conc["intervals"]) + 1,
         "max_tuples_per_point": int(conc["max_live"]),
         "avg_tuples_per_point": float(conc["avg_live"]),
     }

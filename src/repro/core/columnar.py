@@ -4,10 +4,11 @@ NJ's Spark pass (:func:`repro.core.stream.map_group_frames`) hands the
 kernel pandas frames of the winit join, sorted by
 ``(r_lid, o_ts, o_te, s_lid)`` and cut so that each frame holds whole
 groups, one positive tuple each. One call computes every window of
-every group in the frame with numpy and Arrow array operations, then
-renders the windows as window rows (:func:`sweep`) or as finalized TP
-join tuples (:func:`join_sweep`, for all four joins). The row-at-a-time
-generators are the specification: :func:`repro.core.lawa_u.sweep_group`,
+every group in the frame with numpy and Arrow array operations into
+one window table (:class:`Windows`), then renders it as window rows
+(:func:`sweep`) or as finalized TP join tuples (:func:`join_sweep`, for
+all four joins). The row-at-a-time generators are the specification:
+:func:`repro.core.lawa_u.sweep_group`,
 :func:`repro.core.lawa_n.sweep_group` and
 :func:`repro.core.negation_joins._finalize`. The property tests in
 ``tests/test_columnar.py`` hold this kernel to them.
@@ -24,10 +25,13 @@ generators are the specification: :func:`repro.core.lawa_u.sweep_group`,
   entries; sorted by ``(interval, s_lid)``, every interval with at
   least one entry is one negating window and its entries are the
   window's s tuples.
-- **Finalize.** Lineage ``r``, ``r & s``, ``r & ~s`` or
-  ``r & ~(s1 | s2 …)`` is built by Arrow string kernels, and p is
-  ``r_p``, ``r_p·s_p`` or ``r_p·Π(1−p_i)``, multiplied in the same
-  order as the specification.
+- **Finalize.** One Arrow string join builds every lineage from
+  ``r``, a connector chosen by kind (``""``, ``" & "``, ``" & ~"`` or
+  ``" & ~("``), the members' lids joined by ``" | "`` and a closing
+  ``")"`` or ``""``: ``r``, ``r & s``, ``r & ~s`` or
+  ``r & ~(s1 | s2 …)``. One ``np.multiply.reduceat`` gives p as
+  ``r_p`` times a factor per member, ``s_p`` in an overlapping window
+  and ``1 − s_p`` in a negating one, in the specification's order.
 
 Groups are keyed by lid, so each must hold one positive tuple:
 :func:`check_groups` fails the frame, naming the lid, where two tuples
@@ -54,17 +58,24 @@ from .lawa_u import KIND_NEGATING, KIND_OVERLAPPING, KIND_UNMATCHED
 # windows
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Block:
-    """The windows of one kind, one entry per window.
+_KINDS = np.array([KIND_UNMATCHED, KIND_OVERLAPPING, KIND_NEGATING])
+_U, _O, _N = range(3)  # codes into _KINDS
 
-    ``head`` is the frame row of the window's r tuple (the first row of
-    its group), ``src`` the frame row whose s facts the window carries
-    (the matched row of an overlapping window, -1 otherwise), and the s
-    tuples of window ``i`` are the frame rows
-    ``members[offsets[i]:offsets[i + 1]]``, sorted by ``s_lid``.
+
+@dataclass(frozen=True)
+class Windows:
+    """Every window of a frame, one entry per window.
+
+    ``kind`` is the window's code into :data:`_KINDS`, ``head`` the frame
+    row of its r tuple (a row of its group), and ``src`` the frame row
+    whose s facts it carries (the matched row of an overlapping window,
+    -1 otherwise). Its s tuples are the frame rows
+    ``members[offsets[i]:offsets[i + 1]]``, sorted by ``s_lid``: none
+    for an unmatched window, the matched row for an overlapping one and
+    the active s tuples for a negating one.
     """
 
+    kind: np.ndarray
     head: np.ndarray
     src: np.ndarray
     ts: np.ndarray
@@ -75,17 +86,25 @@ class Block:
     def __len__(self) -> int:
         return len(self.head)
 
+    def where(self, keep: np.ndarray) -> Windows:
+        """The windows where ``keep`` is true, with their members."""
+        count = np.diff(self.offsets)[keep]
+        return Windows(
+            kind=self.kind[keep],
+            head=self.head[keep],
+            src=self.src[keep],
+            ts=self.ts[keep],
+            te=self.te[keep],
+            offsets=np.concatenate([[0], np.cumsum(count)]),
+            members=self.members[_runs(self.offsets[:-1][keep], count)],
+        )
 
-def _block(head, ts, te, src=None, offsets=None, members=None) -> Block:
-    n = len(head)
-    return Block(
-        head=head,
-        src=np.full(n, -1, np.int64) if src is None else src,
-        ts=ts,
-        te=te,
-        offsets=np.zeros(n + 1, np.int64) if offsets is None else offsets,
-        members=np.empty(0, np.int64) if members is None else members,
-    )
+
+def _runs(start: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The integers ``start[i], start[i] + 1, …`` (``count[i]`` of them)
+    for every ``i``, concatenated."""
+    before = np.cumsum(count) - count
+    return np.repeat(start - before, count) + np.arange(int(count.sum()))
 
 
 def _starts(values: np.ndarray) -> np.ndarray:
@@ -165,11 +184,12 @@ def _windows(
     r_facts: Sequence[str],
     s_facts: Sequence[str] = (),
     s_positive: np.ndarray | None = None,
-) -> dict[str, Block]:
+) -> Windows:
     """The LAWA_U (and, if ``with_negating``, LAWA_N) windows of every
-    group of ``frame``, by kind. A group is a run of one ``r_lid`` and,
-    in the full outer join's rows, one ``side``. The groups are checked
-    by :func:`check_groups` with the other arguments."""
+    group of ``frame``: the unmatched, then the overlapping, then the
+    negating ones. A group is a run of one ``r_lid`` and, in the full
+    outer join's rows, one ``side``. The groups are checked by
+    :func:`check_groups` with the other arguments."""
     n = len(frame)
     new_group = _starts(frame["r_lid"].to_numpy())
     if "side" in frame.columns:
@@ -185,38 +205,30 @@ def _windows(
     o_ts = frame["o_ts"].to_numpy(np.int64)
     o_te = frame["o_te"].to_numpy(np.int64)
 
-    # Running max of o_te within each group. Ranks in (group, o_te)
-    # order grow from one group to the next, so a plain running max of
-    # the ranks restarts at every group.
-    order = np.lexsort((o_te, group))
-    rank = np.empty(n, np.int64)
-    rank[order] = np.arange(n)
-    upto = o_te[order[np.maximum.accumulate(rank)]]
+    # running max of o_te within each group
+    upto = pd.Series(o_te).groupby(group, sort=False).cummax().to_numpy()
     cursor = np.where(new_group, r_ts, np.roll(upto, 1))
-
-    gap = matched & (cursor < o_ts)
-    tail = last[matched[last] & (upto[last] < r_te[last])]
     lone = np.flatnonzero(~matched)
-    unmatched = _block(
-        head=np.concatenate([lone, head[gap], tail]),
-        ts=np.concatenate([r_ts[lone], cursor[gap], upto[tail]]),
-        te=np.concatenate([r_te[lone], o_ts[gap], r_te[tail]]),
-    )
+    gap = np.flatnonzero(matched & (cursor < o_ts))
+    tail = last[matched[last] & (upto[last] < r_te[last])]
     rows = np.flatnonzero(matched)
-    overlapping = _block(
-        head=head[rows],
-        ts=o_ts[rows],
-        te=o_te[rows],
-        src=rows,
-        offsets=np.arange(len(rows) + 1),
-        members=rows,
-    )
-    out = {KIND_UNMATCHED: unmatched, KIND_OVERLAPPING: overlapping}
     if with_negating:
-        out[KIND_NEGATING] = _negating(
+        n_head, n_ts, n_te, n_count, n_members = _negating(
             frame, rows, group[rows], o_ts[rows], o_te[rows], first
         )
-    return out
+    else:
+        n_head = n_ts = n_te = n_count = n_members = np.empty(0, np.int64)
+    n_u = len(lone) + len(gap) + len(tail)
+    count = np.concatenate([np.zeros(n_u, np.int64), np.ones(len(rows), np.int64), n_count])
+    return Windows(
+        kind=np.repeat([_U, _O, _N], [n_u, len(rows), len(n_head)]),
+        head=np.concatenate([lone, head[gap], tail, head[rows], n_head]),
+        src=np.concatenate([np.full(n_u, -1), rows, np.full(len(n_head), -1)]),
+        ts=np.concatenate([r_ts[lone], cursor[gap], upto[tail], o_ts[rows], n_ts]),
+        te=np.concatenate([r_te[lone], o_ts[gap], r_te[tail], o_te[rows], n_te]),
+        offsets=np.concatenate([[0], np.cumsum(count)]),
+        members=np.concatenate([rows, n_members]),
+    )
 
 
 def _negating(
@@ -226,14 +238,12 @@ def _negating(
     o_ts: np.ndarray,
     o_te: np.ndarray,
     first: np.ndarray,
-) -> Block:
+) -> tuple[np.ndarray, ...]:
     """LAWA_N over the matched ``rows`` of the frame; ``group``,
     ``o_ts`` and ``o_te`` are given for those rows, ``first`` is the
-    first frame row of each group."""
+    first frame row of each group. Returns the negating windows' head,
+    ts, te, member count and members."""
     m = len(rows)
-    if m == 0:
-        empty = np.empty(0, np.int64)
-        return _block(empty, empty, empty)
     # distinct event points per group, numbered in (group, time) order
     pt_group = np.concatenate([group, group])
     pt_time = np.concatenate([o_ts, o_te])
@@ -258,19 +268,16 @@ def _negating(
     )
     start = point[:m][by_lid]
     count = point[m:][by_lid] - start
-    total = int(count.sum())
-    offset = np.cumsum(count) - count
-    interval = np.repeat(start - offset, count) + np.arange(total)
+    interval = _runs(start, count)
     entry = np.repeat(rows[by_lid], count)
-    perm = np.argsort(interval, kind="stable")
     per_interval = np.bincount(interval, minlength=len(at))
     live = np.flatnonzero(per_interval)
-    return _block(
-        head=first[point_group[live]],
-        ts=at[live],
-        te=at[live + 1],
-        offsets=np.concatenate([[0], np.cumsum(per_interval[live])]),
-        members=entry[perm],
+    return (
+        first[point_group[live]],
+        at[live],
+        at[live + 1],
+        per_interval[live],
+        entry[np.argsort(interval, kind="stable")],
     )
 
 
@@ -278,72 +285,36 @@ def _negating(
 # finalize
 # ---------------------------------------------------------------------------
 
-def _concat(blocks: list[Block]) -> Block:
-    shift = np.cumsum([0] + [len(b.members) for b in blocks[:-1]])
-    return Block(
-        head=np.concatenate([b.head for b in blocks]),
-        src=np.concatenate([b.src for b in blocks]),
-        ts=np.concatenate([b.ts for b in blocks]),
-        te=np.concatenate([b.te for b in blocks]),
-        offsets=np.concatenate(
-            [[0]] + [b.offsets[1:] + k for b, k in zip(blocks, shift)]
-        ),
-        members=np.concatenate([b.members for b in blocks]),
-    )
+# The text after λr, by code: the window's kind, plus 1 for a negating
+# window of several members, which alone takes the closing ")".
+_CONNECTORS = pa.array(["", " & ", " & ~", " & ~("])
+_CLOSINGS = pa.array(["", ")"])
 
 
 def _lists(offsets: np.ndarray, values: pa.Array) -> pa.ListArray:
     return pa.ListArray.from_arrays(pa.array(offsets, pa.int32()), values)
 
 
-def _lineage(kind: str, b: Block, r_lid: pa.Array, s_lid: pa.Array) -> pa.Array:
-    lam_r = r_lid.take(b.head)
-    if kind == KIND_UNMATCHED:
-        return lam_r
-    if kind == KIND_OVERLAPPING:
-        return pc.binary_join_element_wise(lam_r, s_lid.take(b.src), " & ")
-    lids = _lists(b.offsets, s_lid.take(b.members))
-    single = pa.array(np.diff(b.offsets) == 1)
+def _lineage(w: Windows, r_lid: pa.Array, s_lid: pa.Array) -> pa.Array:
+    """``λr``, ``λr & λs``, ``λr & ~λs`` or ``λr & ~(λs1 | λs2 …)``."""
+    several = (np.diff(w.offsets) > 1).astype(np.int8)  # negating windows only
     return pc.binary_join_element_wise(
-        lam_r,
-        pc.if_else(single, " & ~", " & ~("),
-        pc.binary_join(lids, " | "),
-        pc.if_else(single, "", ")"),
+        r_lid.take(w.head),
+        _CONNECTORS.take(w.kind + several),
+        pc.binary_join(_lists(w.offsets, s_lid.take(w.members)), " | "),
+        _CLOSINGS.take(several),
         "",
     )
 
 
-def _probability(kind: str, b: Block, r_p: np.ndarray, s_p: np.ndarray) -> np.ndarray:
-    p_r = r_p[b.head]
-    if kind == KIND_UNMATCHED:
-        return p_r
-    if kind == KIND_OVERLAPPING:
-        return p_r * s_p[b.src]
-    if not len(b):
-        return p_r
-    # r_p·(1−p_1)·(1−p_2)… left to right, as negation_probability does
-    factors = np.insert(1.0 - s_p[b.members], b.offsets[:-1], p_r)
-    return np.multiply.reduceat(factors, b.offsets[:-1] + np.arange(len(b)))
-
-
-def _join_tuples(
-    frame: pd.DataFrame, by_kind: dict[str, Block], w: Block, facts: dict
-) -> pd.DataFrame:
-    """The finalized TP join tuples of the windows ``w`` (``by_kind``
-    concatenated): the ``facts`` columns, then lineage, ts, te and p."""
-    r_p = frame["r_p"].to_numpy(np.float64)
-    s_p = frame["s_p"].to_numpy(np.float64)
-    r_lid = pa.array(frame["r_lid"].to_numpy(), pa.string())
-    s_lid = pa.array(frame["s_lid"].to_numpy(), pa.string())
-    out = dict(facts)
-    out["lineage"] = pa.concat_arrays(
-        [_lineage(k, b, r_lid, s_lid) for k, b in by_kind.items()]
-    ).to_pandas()
-    out["ts"], out["te"] = w.ts, w.te
-    out["p"] = np.concatenate(
-        [_probability(k, b, r_p, s_p) for k, b in by_kind.items()]
-    )
-    return pd.DataFrame(out)
+def _probability(w: Windows, r_p: np.ndarray, s_p: np.ndarray) -> np.ndarray:
+    """``r_p·Π factor`` per window, left to right as
+    ``negation_probability`` multiplies: the factor of a member is
+    ``s_p``, or ``1 − s_p`` in a negating window."""
+    negated = np.repeat(w.kind == _N, np.diff(w.offsets))
+    p = s_p[w.members]
+    factors = np.insert(np.where(negated, 1.0 - p, p), w.offsets[:-1], r_p[w.head])
+    return np.multiply.reduceat(factors, w.offsets[:-1] + np.arange(len(w)))
 
 
 def sweep(
@@ -351,8 +322,7 @@ def sweep(
 ) -> pd.DataFrame:
     """Every window of the complete groups in ``frame``, as rows of the
     window schema of :func:`repro.core.negation_joins.wuo`."""
-    by_kind = _windows(frame, with_negating, r_facts)
-    w = _concat(list(by_kind.values()))
+    w = _windows(frame, with_negating, r_facts)
     out: dict[str, object] = {
         f"r_{c}": frame[f"r_{c}"].array.take(w.head) for c in r_facts
     }
@@ -365,7 +335,7 @@ def sweep(
     s_lid = pa.array(frame["s_lid"].to_numpy(), pa.string())
     out["s_lids"] = _lists(w.offsets, s_lid.take(w.members)).to_pandas()
     out["s_ps"] = _lists(w.offsets, pa.array(s_p[w.members])).to_pandas()
-    out["kind"] = np.repeat(list(by_kind), [len(b) for b in by_kind.values()])
+    out["kind"] = _KINDS[w.kind]
     return pd.DataFrame(out)
 
 
@@ -388,28 +358,26 @@ def join_sweep(
         s_positive = frame["side"].to_numpy() == 1
     else:
         s_positive = np.full(len(frame), op == "right")
-    by_kind = _windows(frame, True, r_facts, s_facts, s_positive)
-    o = by_kind[KIND_OVERLAPPING]
-    keep = (s_positive[o.src] == (op == "right")) & (op != "anti")
-    by_kind[KIND_OVERLAPPING] = _block(
-        head=o.head[keep],
-        ts=o.ts[keep],
-        te=o.te[keep],
-        src=o.src[keep],
-        offsets=np.arange(keep.sum() + 1),
-        members=o.src[keep],
-    )
-    w = _concat(list(by_kind.values()))
+    w = _windows(frame, True, r_facts, s_facts, s_positive)
+    # src is -1 outside the overlapping windows, where its row is not read
+    kept = (s_positive[w.src] == (op == "right")) & (op != "anti")
+    w = w.where((w.kind != _O) | kept)
     of_s = s_positive[w.head]
     r_rows = np.where(of_s, w.src, w.head)
-    facts = {
+    out = {
         (c if op == "anti" else f"r_{c}"):
             frame[f"r_{c}"].array.take(r_rows, allow_fill=True)
         for c in r_facts
     }
     if op != "anti":
         s_rows = np.where(of_s, w.head, w.src)
-        facts.update(
+        out.update(
             {f"s_{c}": frame[f"s_{c}"].array.take(s_rows, allow_fill=True) for c in s_facts}
         )
-    return _join_tuples(frame, by_kind, w, facts)
+    r_lid = pa.array(frame["r_lid"].to_numpy(), pa.string())
+    s_lid = pa.array(frame["s_lid"].to_numpy(), pa.string())
+    out["lineage"] = _lineage(w, r_lid, s_lid).to_pandas()
+    out["ts"], out["te"] = w.ts, w.te
+    r_p = frame["r_p"].to_numpy(np.float64)
+    out["p"] = _probability(w, r_p, frame["s_p"].to_numpy(np.float64))
+    return pd.DataFrame(out)

@@ -1,9 +1,8 @@
 """Synthetic temporal-probabilistic relations at a configurable size.
 
-Stand-ins for the paper's WebKit and Meteo workloads, plus small random
-relations for property tests. Generators are deterministic in ``seed``
-so the reference implementation and the DuckDB oracle see identical
-input.
+Stand-ins for the paper's WebKit and Meteo workloads. Generators are
+deterministic in ``seed`` so the reference implementation and the
+DuckDB oracle see identical input.
 """
 import numpy as np
 import pandas as pd
@@ -105,37 +104,6 @@ def meteo_lite_pdf(n: int, *, seed: int = 0, lid_prefix: str = "a",
     pdf["lid"] = [f"{lid_prefix}{i}" for i in range(len(pdf))]
     pdf["p"] = (0.5 + 0.5 * g.random(len(pdf))).round(6)
     return pdf[["station_id", "value_id", "lid", "ts", "te", "p"]]
-
-
-def random_tp_pdf(n: int, *, n_facts: int = 3, t_max: int = 30,
-                  seed: int = 0, lid_prefix: str = "a",
-                  null_frac: float = 0.0) -> pd.DataFrame:
-    """Small random TP relation for property tests (single fact column).
-
-    Per-fact chains with random gaps, so intervals may be adjacent,
-    disjoint, or absent — duplicate-free by construction. With
-    ``null_frac`` > 0, about that share of the ``k`` values is null (a
-    θ key that matches nothing, so null-keyed tuples may overlap); the
-    other columns, and all columns at the default 0, are the same as
-    without it.
-    """
-    g = _rng(seed)
-    fact = g.integers(0, n_facts, n)
-    dur = g.integers(1, max(2, t_max // 4), n)
-    gap = g.integers(0, max(1, t_max // 4), n)
-    # each tuple owns a slot of dur+gap in its fact's chain and is
-    # valid over the first dur time points of it, leaving random holes
-    pdf = pd.DataFrame({"k": fact, "dur": dur + gap, "valid": dur})
-    starts = g.integers(0, t_max, n_facts)
-    pdf = _chain_intervals(pdf, starts, "k")
-    pdf["te"] = (pdf["ts"] + pdf["valid"]).astype("int64")
-    pdf = pdf.drop(columns=["valid"])
-    pdf["k"] = "k" + pdf["k"].astype(str)
-    pdf["lid"] = [f"{lid_prefix}{i}" for i in range(len(pdf))]
-    pdf["p"] = (0.05 + 0.9 * g.random(len(pdf))).round(4)
-    if null_frac:
-        pdf["k"] = pdf["k"].where(g.random(len(pdf)) >= null_frac, None)
-    return pdf[["k", "lid", "ts", "te", "p"]]
 
 
 def tp_workload(spark: SparkSession, kind: str, n: int, *, seed: int = 0):

@@ -10,8 +10,8 @@ from repro.baselines.alignment import (
 )
 from repro.core.negation_joins import all_windows, negation_join, wuo
 from repro.core.theta import Theta
-from repro.synth_data import random_tp_pdf, tp_workload_pdf
-from util import joins, norm, paper_a, paper_b, plan_nodes, rows, tp_relation
+from repro.synth_data import tp_workload_pdf
+from util import joins, norm, paper_a, paper_b, plan_nodes, random_tp_pdf, rows, tp_relation
 
 THETA = Theta.of(("loc", "=", "loc"))
 

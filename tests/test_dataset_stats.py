@@ -72,9 +72,11 @@ def test_stats_against_oracle_base_aggregates(spark):
                 s["max_duration"],
                 float(s["avg_duration"]),
                 s["num_facts"],
+                s["distinct_points"],
             )
         ],
-        "cardinality long, min_d long, max_d long, avg_d double, num_facts long",
+        "cardinality long, min_d long, max_d long, avg_d double, num_facts long,"
+        " distinct_points long",
     )
     assert_equivalent(
         got,
@@ -83,7 +85,9 @@ def test_stats_against_oracle_base_aggregates(spark):
                min(te - ts) AS min_d,
                max(te - ts) AS max_d,
                avg(te - ts) AS avg_d,
-               count(DISTINCT file_path) AS num_facts
+               count(DISTINCT file_path) AS num_facts,
+               (SELECT count(DISTINCT t)
+                FROM (SELECT ts AS t FROM r UNION ALL SELECT te FROM r)) AS distinct_points
         FROM r
         """,
         r=pdf,

@@ -12,9 +12,19 @@ from repro.baselines.alignment import ta_negation_join
 from repro.core.negation_joins import all_windows, negation_join, wuo
 from repro.core.reference import reference_negation_join
 from repro.core.theta import Theta
-from repro.synth_data import random_tp_pdf, tp_workload_pdf
+from repro.synth_data import tp_workload_pdf
 from oracle import assert_equivalent, expand_df, theta_sql
-from util import joins, norm, paper_a, paper_b, plan_nodes, rows, tp_pdf, validate_tp_pdf
+from util import (
+    joins,
+    norm,
+    paper_a,
+    paper_b,
+    plan_nodes,
+    random_tp_pdf,
+    rows,
+    tp_pdf,
+    validate_tp_pdf,
+)
 
 THETA = Theta.of(("loc", "=", "loc"))
 

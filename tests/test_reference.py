@@ -10,8 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.reference import reference_negation_join
 from repro.core.theta import Theta
-from repro.synth_data import random_tp_pdf
-from util import paper_a, paper_b, rows
+from util import paper_a, paper_b, random_tp_pdf, rows
 from worlds import probability_enumerate
 
 THETA_K = Theta.equi("k")

@@ -4,12 +4,11 @@ import pytest
 from repro.core.theta import Theta
 from repro.synth_data import (
     meteo_lite_pdf,
-    random_tp_pdf,
     tp_workload,
     tp_workload_pdf,
     webkit_lite_pdf,
 )
-from util import validate_tp_pdf
+from util import random_tp_pdf, validate_tp_pdf
 
 
 class TestWebkitLite:
@@ -71,6 +70,8 @@ class TestMeteoLite:
 
 
 class TestRandomTp:
+    """The property tests' generator, ``util.random_tp_pdf``."""
+
     @pytest.mark.parametrize("seed", range(8))
     def test_is_valid_tp_relation(self, seed):
         validate_tp_pdf(random_tp_pdf(10, n_facts=3, t_max=25, seed=seed))
