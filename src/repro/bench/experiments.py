@@ -28,7 +28,7 @@ from .harness import Table, materialize, time_action
 SIZES = {"webkit": (2_000, 4_000, 8_000, 16_000), "meteo": (500, 1_000, 2_000, 4_000)}
 SCALE_WEBKIT = (5_000, 10_000, 20_000, 40_000)
 SCALE_METEO = (1_000, 2_000, 4_000, 8_000)
-RUNS = 2  # timed runs per cell of E1-E4; E5's larger inputs run once
+RUNS = 2  # timed runs per cell of every table
 
 
 def _inputs(spark: SparkSession, kind: str, n: int):
@@ -52,7 +52,7 @@ def warmup(spark: SparkSession) -> None:
         time_action(partial(op, r, s, theta))
 
 
-def _sweep(spark, title, columns, points, cells, row, runs=RUNS) -> Table:
+def _sweep(spark, title, columns, points, cells, row) -> Table:
     """Time each of ``cells``, a name → operator ``(r, s, θ) → DataFrame``
     map, on the cached inputs of each ``(kind, n)`` of ``points``, and
     print the row ``row(kind, n, timed)`` makes of the cells' timings,
@@ -63,7 +63,7 @@ def _sweep(spark, title, columns, points, cells, row, runs=RUNS) -> Table:
     for kind, n in points:
         r, s, theta = _inputs(spark, kind, n)
         timed = {
-            name: time_action(partial(op, r, s, theta), runs=runs)
+            name: time_action(partial(op, r, s, theta), runs=RUNS)
             for name, op in cells.items()
         }
         t.add(*row(kind, n, timed))
@@ -197,5 +197,4 @@ def table_e5_scalability(
         + [("meteo", n) for n in sizes_meteo or SCALE_METEO],
         {"nj": _NJ_LEFT},
         row,
-        runs=1,
     )

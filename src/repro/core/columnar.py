@@ -13,18 +13,18 @@ all four joins). The row-at-a-time generators are the specification:
 :func:`repro.core.negation_joins._finalize`. The property tests in
 ``tests/test_columnar.py`` hold this kernel to them.
 
-- **LAWA_U.** The rows of a group arrive sorted by ``o_ts``. The gap
-  before a row is ``[max(r_ts, running max of o_te over the earlier
-  rows of its group), o_ts)`` when that is non-empty; the trailing gap
-  ends at ``r_te``; a null-match row (null ``s_lid``) is one unmatched
-  window over the whole r interval. Every matched row is an
-  overlapping window.
-- **LAWA_N.** A group's distinct event points (``o_ts ∪ o_te``) cut
-  its r interval into elementary intervals. A row covers a contiguous
-  run of them, so ``np.repeat`` expands rows into ``(interval, s row)``
-  entries; sorted by ``(interval, s_lid)``, every interval with at
-  least one entry is one negating window and its entries are the
-  window's s tuples.
+- **Event sweep (LAWA_U and LAWA_N).** A group's distinct event
+  points, its ``r_ts`` and ``r_te`` and each matched row's ``o_ts``
+  and ``o_te``, cut its r interval into elementary intervals; a
+  null-match row (null ``s_lid``) adds none. The coverage of an
+  interval, the number of rows whose overlap holds it, is a running
+  sum of +1 at each ``o_ts`` and −1 at each ``o_te``. An uncovered
+  interval is an unmatched window: the point after it is an ``o_ts``
+  or ``r_te``, so it is a maximal gap. A covered interval is a
+  negating window: a row covers a contiguous run of intervals, so
+  ``np.repeat`` expands rows into ``(interval, s row)`` entries, and
+  sorted by ``(interval, s_lid)`` the entries are the windows' s
+  tuples. Every matched row is an overlapping window.
 - **Finalize.** One Arrow string join builds every lineage from
   ``r``, a connector chosen by kind (``""``, ``" & "``, ``" & ~"`` or
   ``" & ~("``), the members' lids joined by ``" | "`` and a closing
@@ -64,15 +64,17 @@ _U, _O, _N = range(3)  # codes into _KINDS
 
 @dataclass(frozen=True)
 class Windows:
-    """Every window of a frame, one entry per window.
+    """Every window of a frame, one entry per window: the unmatched and
+    negating windows, one per elementary interval in (group, time)
+    order, then the overlapping ones.
 
     ``kind`` is the window's code into :data:`_KINDS`, ``head`` the frame
-    row of its r tuple (a row of its group), and ``src`` the frame row
-    whose s facts it carries (the matched row of an overlapping window,
-    -1 otherwise). Its s tuples are the frame rows
+    row of its r tuple (the first row of its group), and ``src`` the
+    frame row whose s facts it carries (the matched row of an
+    overlapping window, -1 otherwise). Its s tuples are the frame rows
     ``members[offsets[i]:offsets[i + 1]]``, sorted by ``s_lid``: none
     for an unmatched window, the matched row for an overlapping one and
-    the active s tuples for a negating one.
+    the rows covering the interval for a negating one.
     """
 
     kind: np.ndarray
@@ -85,19 +87,6 @@ class Windows:
 
     def __len__(self) -> int:
         return len(self.head)
-
-    def where(self, keep: np.ndarray) -> Windows:
-        """The windows where ``keep`` is true, with their members."""
-        count = np.diff(self.offsets)[keep]
-        return Windows(
-            kind=self.kind[keep],
-            head=self.head[keep],
-            src=self.src[keep],
-            ts=self.ts[keep],
-            te=self.te[keep],
-            offsets=np.concatenate([[0], np.cumsum(count)]),
-            members=self.members[_runs(self.offsets[:-1][keep], count)],
-        )
 
 
 def _runs(start: np.ndarray, count: np.ndarray) -> np.ndarray:
@@ -184,13 +173,15 @@ def _windows(
     r_facts: Sequence[str],
     s_facts: Sequence[str] = (),
     s_positive: np.ndarray | None = None,
+    overlapping: np.ndarray | None = None,
 ) -> Windows:
-    """The LAWA_U (and, if ``with_negating``, LAWA_N) windows of every
-    group of ``frame``: the unmatched, then the overlapping, then the
-    negating ones. A group is a run of one ``r_lid`` and, in the full
-    outer join's rows, one ``side``. The groups are checked by
-    :func:`check_groups` with the other arguments."""
-    n = len(frame)
+    """The unmatched, negating (if ``with_negating``) and overlapping
+    windows of every group of ``frame``, from one event sweep. A group
+    is a run of one ``r_lid`` and, in the full outer join's rows, one
+    ``side``. The overlapping windows are the matched rows where the
+    row mask ``overlapping`` holds (None: every matched row). The
+    groups are checked by :func:`check_groups` with the other
+    arguments."""
     new_group = _starts(frame["r_lid"].to_numpy())
     if "side" in frame.columns:
         new_group |= _starts(frame["side"].to_numpy())
@@ -198,86 +189,61 @@ def _windows(
     check_groups(frame, new_group, matched, r_facts, s_facts, s_positive)
     group = np.cumsum(new_group) - 1
     first = np.flatnonzero(new_group)
-    last = np.append(first[1:], n) - 1
-    head = first[group]
-    r_ts = frame["r_ts"].to_numpy(np.int64)
-    r_te = frame["r_te"].to_numpy(np.int64)
-    o_ts = frame["o_ts"].to_numpy(np.int64)
-    o_te = frame["o_te"].to_numpy(np.int64)
-
-    # running max of o_te within each group
-    upto = pd.Series(o_te).groupby(group, sort=False).cummax().to_numpy()
-    cursor = np.where(new_group, r_ts, np.roll(upto, 1))
-    lone = np.flatnonzero(~matched)
-    gap = np.flatnonzero(matched & (cursor < o_ts))
-    tail = last[matched[last] & (upto[last] < r_te[last])]
     rows = np.flatnonzero(matched)
-    if with_negating:
-        n_head, n_ts, n_te, n_count, n_members = _negating(
-            frame, rows, group[rows], o_ts[rows], o_te[rows], first
-        )
-    else:
-        n_head = n_ts = n_te = n_count = n_members = np.empty(0, np.int64)
-    n_u = len(lone) + len(gap) + len(tail)
-    count = np.concatenate([np.zeros(n_u, np.int64), np.ones(len(rows), np.int64), n_count])
-    return Windows(
-        kind=np.repeat([_U, _O, _N], [n_u, len(rows), len(n_head)]),
-        head=np.concatenate([lone, head[gap], tail, head[rows], n_head]),
-        src=np.concatenate([np.full(n_u, -1), rows, np.full(len(n_head), -1)]),
-        ts=np.concatenate([r_ts[lone], cursor[gap], upto[tail], o_ts[rows], n_ts]),
-        te=np.concatenate([r_te[lone], o_ts[gap], r_te[tail], o_te[rows], n_te]),
-        offsets=np.concatenate([[0], np.cumsum(count)]),
-        members=np.concatenate([rows, n_members]),
+    row_group = group[rows]
+    r_ts, r_te, o_ts, o_te = (
+        frame[c].to_numpy(np.int64) for c in ("r_ts", "r_te", "o_ts", "o_te")
     )
 
-
-def _negating(
-    frame: pd.DataFrame,
-    rows: np.ndarray,
-    group: np.ndarray,
-    o_ts: np.ndarray,
-    o_te: np.ndarray,
-    first: np.ndarray,
-) -> tuple[np.ndarray, ...]:
-    """LAWA_N over the matched ``rows`` of the frame; ``group``,
-    ``o_ts`` and ``o_te`` are given for those rows, ``first`` is the
-    first frame row of each group. Returns the negating windows' head,
-    ts, te, member count and members."""
-    m = len(rows)
-    # distinct event points per group, numbered in (group, time) order
-    pt_group = np.concatenate([group, group])
-    pt_time = np.concatenate([o_ts, o_te])
+    # Event points, numbered in (group, time) order: each group's r_ts
+    # and r_te (delta 0) and each matched row's o_ts (+1) and o_te (−1).
+    g, m = len(first), len(rows)
+    pt_group = np.concatenate([np.arange(g), np.arange(g), row_group, row_group])
+    pt_time = np.concatenate([r_ts[first], r_te[first], o_ts[rows], o_te[rows]])
+    delta = np.repeat([0, 1, -1], [2 * g, m, m])
     order = np.lexsort((pt_time, pt_group))
     new_point = _starts(pt_group[order]) | _starts(pt_time[order])
-    point = np.empty(2 * m, np.int64)
+    point = np.empty(len(order), np.int64)
     point[order] = np.cumsum(new_point) - 1
-    at = pt_time[order][new_point]
-    point_group = pt_group[order][new_point]
-    # Rows in (group, s_lid) order, expanded into one entry per covered
-    # elementary interval; a stable sort by interval keeps s_lid order.
-    lid = pa.array(frame["s_lid"].to_numpy()[rows], pa.string())
-    by_lid = pc.sort_indices(
-        pa.table({"g": group, "lid": lid}),
-        sort_keys=[("g", "ascending"), ("lid", "ascending")],
-    ).to_numpy()
-    lid, by_group = lid.take(by_lid), group[by_lid]
-    twice = pc.equal(lid[1:], lid[:-1]).to_numpy(zero_copy_only=False)
-    _shared_lid(
-        "one positive tuple overlaps two negative tuples with it",
-        lid.take(np.flatnonzero(twice & (by_group[1:] == by_group[:-1]))).to_pylist(),
-    )
-    start = point[:m][by_lid]
-    count = point[m:][by_lid] - start
-    interval = _runs(start, count)
-    entry = np.repeat(rows[by_lid], count)
-    per_interval = np.bincount(interval, minlength=len(at))
-    live = np.flatnonzero(per_interval)
-    return (
-        first[point_group[live]],
-        at[live],
-        at[live + 1],
-        per_interval[live],
-        entry[np.argsort(interval, kind="stable")],
+    at_first = np.flatnonzero(new_point)
+    at, at_group = pt_time[order][at_first], pt_group[order][at_first]
+    # Elementary interval i is [at[i], at[i + 1]); it is inside a group
+    # unless at[i] is its group's last point, where the coverage is
+    # back to 0, so the running sum starts each group at 0.
+    covers = np.cumsum(np.add.reduceat(delta[order], at_first))
+    inside = np.append(at_group[1:] == at_group[:-1], False)
+    cut = np.flatnonzero(inside if with_negating else inside & (covers == 0))
+
+    if with_negating:
+        # Rows in (group, s_lid) order, expanded into one entry per
+        # covered interval; a stable sort by interval keeps s_lid order.
+        lid = pa.array(frame["s_lid"].to_numpy()[rows], pa.string())
+        by_lid = pc.sort_indices(
+            pa.table({"g": row_group, "lid": lid}),
+            sort_keys=[("g", "ascending"), ("lid", "ascending")],
+        ).to_numpy()
+        lid, by_group = lid.take(by_lid), row_group[by_lid]
+        twice = pc.equal(lid[1:], lid[:-1]).to_numpy(zero_copy_only=False)
+        _shared_lid(
+            "one positive tuple overlaps two negative tuples with it",
+            lid.take(np.flatnonzero(twice & (by_group[1:] == by_group[:-1]))).to_pylist(),
+        )
+        start = point[2 * g:2 * g + m][by_lid]
+        count = point[2 * g + m:][by_lid] - start
+        interval = _runs(start, count)
+        members = np.repeat(rows[by_lid], count)[np.argsort(interval, kind="stable")]
+    else:
+        members = np.empty(0, np.int64)
+    o_rows = rows if overlapping is None else np.flatnonzero(matched & overlapping)
+    count = np.concatenate([covers[cut], np.ones(len(o_rows), np.int64)])
+    return Windows(
+        kind=np.concatenate([np.where(covers[cut] > 0, _N, _U), np.full(len(o_rows), _O)]),
+        head=np.concatenate([first[at_group[cut]], first[group[o_rows]]]),
+        src=np.concatenate([np.full(len(cut), -1), o_rows]),
+        ts=np.concatenate([at[cut], o_ts[o_rows]]),
+        te=np.concatenate([at[cut + 1], o_te[o_rows]]),
+        offsets=np.concatenate([[0], np.cumsum(count)]),
+        members=np.concatenate([members, o_rows]),
     )
 
 
@@ -358,10 +324,8 @@ def join_sweep(
         s_positive = frame["side"].to_numpy() == 1
     else:
         s_positive = np.full(len(frame), op == "right")
-    w = _windows(frame, True, r_facts, s_facts, s_positive)
-    # src is -1 outside the overlapping windows, where its row is not read
-    kept = (s_positive[w.src] == (op == "right")) & (op != "anti")
-    w = w.where((w.kind != _O) | kept)
+    kept = (s_positive == (op == "right")) & (op != "anti")
+    w = _windows(frame, True, r_facts, s_facts, s_positive, overlapping=kept)
     of_s = s_positive[w.head]
     r_rows = np.where(of_s, w.src, w.head)
     out = {

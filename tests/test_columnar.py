@@ -259,7 +259,18 @@ def test_paper_group_fig9():
     ]
 
 
-def test_null_match_row_mixed_with_matches_is_rejected():
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda frame: columnar.join_sweep(frame, [], [], "left"),
+        lambda frame: columnar.sweep(frame, [], [], with_negating=False),
+    ],
+    ids=["join_sweep-left", "sweep-wuo"],
+)
+def test_null_match_row_mixed_with_matches_is_rejected(run):
+    """The window sweep adds no event for a null-match row, so only
+    ``check_groups`` rejects one that shares its group with a match,
+    on the LAWA_N path and on W_UO's alike."""
     frame = pd.DataFrame(
         {
             "r_lid": ["a1", "a1"], "r_p": [0.5, 0.5], "r_ts": [0, 0], "r_te": [9, 9],
@@ -268,7 +279,7 @@ def test_null_match_row_mixed_with_matches_is_rejected():
         }
     )
     with pytest.raises(ValueError, match="null-match"):
-        columnar.join_sweep(frame, [], [], "left")
+        run(frame)
 
 
 def test_repeated_winit_row_is_rejected():
